@@ -116,14 +116,15 @@ let measurement_metrics t =
 
 (* GBDT fit time per task.  Each [tuner.round] instant carries the
    cumulative fit time of the cost model of the task being stepped; the
-   [scheduler.pick] instant that closes the step names that task.  A
-   drop in the cumulative figure means a fresh cost model.  Returns the
-   per-task fit seconds, the largest single-step fit in ms, and whether
-   a round was left that no pick closes (its fit time cannot be
-   attributed to a task). *)
+   next [closer] instant, which closes the step, names that task in its
+   [task] attribute: [scheduler.pick] on the zoo, the benchmark's own
+   [bench.serve.step] on serve.  A drop in the cumulative figure means a
+   fresh cost model.  Returns the per-task fit seconds, the largest
+   single-step fit in ms, and whether a round was left that no closer
+   follows (its fit time cannot be attributed to a task). *)
 type fits = { per_task : (int * float) list; max_ms : float; unpaired : int }
 
-let fits t : fits =
+let fits ~closer t : fits =
   let last : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let acc : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let max_ms = ref 0.0 and pending = ref None in
@@ -134,7 +135,7 @@ let fits t : fits =
           match float_attr "gbdt_fit_ms" attrs with
           | Some ms -> pending := Some ms
           | None -> ())
-      | "scheduler.pick" -> (
+      | n when n = closer -> (
           match (!pending, int_attr "task" attrs) with
           | Some ms, Some task ->
               let prev = Option.value ~default:0.0 (Hashtbl.find_opt last task) in

@@ -1,16 +1,21 @@
 (* The serve_mix workload: an in-process Serve engine with a journal,
-   driven by a closed loop of a few logical clients.  Each client sends
-   its next Tune request only when the previous one is answered.  The
-   requests draw on a small pool of operators x tuner seeds, so three
-   kinds of traffic mix: exact duplicates that attach to a running
-   session, sessions whose context (operator, not seed) another session
-   already measured and which read from the Store, and fresh contexts
-   that write to it.
+   driven by a closed loop of a few logical clients.  The traffic mix is
+   built into the stream, so it is the same in every episode, at every
+   seed and for any number of clients:
 
-   The stream is replayed in episodes.  Every episode starts a fresh
-   engine on a fresh journal, so every episode pays the same set-up and
-   fills the Store from empty; its requests are each pool entry twice,
-   in an order drawn from the workload seed. *)
+   - fresh contexts: one session per operator at tuner seed 0.  Nothing
+     has measured its context yet, so it writes to the Store;
+   - exact duplicates: every fresh request is sent twice, back to back,
+     so the twin always attaches to the session of the first;
+   - shared contexts: once every fresh session has answered, one session
+     per operator at tuner seed 1.  Its context (operator, not seed) is
+     already in the Store, so it reads from it.
+
+   A client holds one unit at a time, a twin pair or a single request,
+   and sends its next unit only when every request of the unit is
+   answered.  Every episode starts a fresh engine on a fresh journal and
+   replays the same stream; the seed draws the order of the operators in
+   each phase. *)
 
 open Alt
 
@@ -23,23 +28,16 @@ let ops =
     { Workload.default_op with kind = "dep"; channels = 64; spatial = 14 };
   ]
 
-let tuner_seeds = [ 0; 1 ]
-let copies = 2
+let fresh_seed = 0
+let shared_seed = 1
 
+let spec op seed =
+  { Workload.default_tune_spec with
+    Workload.op; seed; budget = 96; max_points = 10_000 }
+
+(* Every spec the stream sends. *)
 let specs =
-  List.concat_map
-    (fun op ->
-      List.map
-        (fun seed ->
-          {
-            Workload.default_tune_spec with
-            Workload.op;
-            seed;
-            budget = 48;
-            max_points = 10_000;
-          })
-        tuner_seeds)
-    ops
+  List.concat_map (fun op -> [ spec op fresh_seed; spec op shared_seed ]) ops
 
 (* At most one client per core. *)
 let clients = max 1 (min 2 (Domain.recommended_domain_count ()))
@@ -53,12 +51,21 @@ let shuffle rng a =
   done;
   a
 
+(* The seeded stream: its phases, each a list of units, each unit the
+   requests one client sends back to back. *)
+let stream seed =
+  let rng = Random.State.make [| seed |] in
+  let order () = Array.to_list (shuffle rng (Array.of_list ops)) in
+  let fresh = List.map (fun op -> [ spec op fresh_seed; spec op fresh_seed ]) (order ()) in
+  let shared = List.map (fun op -> [ spec op shared_seed ]) (order ()) in
+  [ fresh; shared ]
+
 type episode = {
   setup_s : float;
   wall_s : float;
   requests : int;
   session_ms : float list; (* submit to ok, per answered request *)
-  step_s : float list; (* per Serve.step call that had work *)
+  step_s : float list; (* per Serve.step call *)
   ok : (Workload.tune_spec * string) list; (* spec, result JSON *)
   attached : int; (* requests sent while their session was running *)
   trials : int; (* trials spent by the sessions that ran *)
@@ -66,28 +73,42 @@ type episode = {
   completed : int; (* Serve.completed_count *)
   rounds : int; (* Serve.rounds_stepped *)
   shed : int; (* Serve.shed_count *)
-  store : Store.stats;
+  store : Store.stats list; (* cumulative, at the end of each phase *)
 }
 
-let episode ~rng ~dir : episode =
+(* One episode.  Serve steps its active sessions round robin; the
+   episode mirrors that queue, so it knows which session each step ran
+   (every answer a step returns is checked against the mirror).  After
+   each step it emits a [bench.serve.step] instant naming that session
+   as [tag] plus its number, which lets the ledger attribute fit time
+   per session.  Answering and submitting between steps run under a
+   [bench.serve.client] span, so that the client loop is not counted as
+   tuner time. *)
+let episode ?(tag = 0) ~stream ~dir () : episode =
   (if Sys.file_exists dir then
      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir));
-  let stream =
-    shuffle rng (Array.of_list (List.concat (List.init copies (fun _ -> specs))))
-  in
   let (engine, store), setup_s =
     Util.time (fun () ->
         let cfg = Serve.default_config ~jobs:1 ~journal_dir:dir () in
         (Serve.create cfg, cfg.Serve.store))
   in
-  let next = ref 0 in
-  (* id -> (spec, submit time, whether it attached) *)
+  let phases = ref (List.tl stream) and units = ref (List.hd stream) in
+  let store_at = ref [] in
+  (* request id -> (spec, submit time, whether it attached, unit) *)
   let inflight = Hashtbl.create 8 in
+  (* unit -> requests not yet answered *)
+  let busy = Hashtbl.create 4 in
+  (* the mirrored active queue, and session key -> session number *)
+  let active = Queue.create () and running = Hashtbl.create 8 in
+  let next_id = ref 0 and next_unit = ref 0 and sessions = ref 0 in
   let session_ms = ref [] and step_s = ref [] and ok = ref [] in
   let attached = ref 0 and trials = ref 0 and not_ok = ref 0 in
   let answer (id, json) =
-    let spec, t0, att = Hashtbl.find inflight id in
+    let spec, t0, att, u = Hashtbl.find inflight id in
     Hashtbl.remove inflight id;
+    (match Hashtbl.find busy u with
+    | 1 -> Hashtbl.remove busy u
+    | n -> Hashtbl.replace busy u (n - 1));
     match (Json.member "status" json, Json.member "result" json) with
     | Some (Json.String "ok"), Some result ->
         session_ms := (1e3 *. (Util.now () -. t0)) :: !session_ms;
@@ -100,34 +121,69 @@ let episode ~rng ~dir : episode =
         Util.fail "request %s: %s" id (Json.to_string json);
         incr not_ok
   in
-  let submit () =
-    while Hashtbl.length inflight < clients && !next < Array.length stream do
-      let spec = stream.(!next) in
-      let id = string_of_int !next in
-      incr next;
-      let att =
-        Hashtbl.fold (fun _ (s, _, _) a -> a || s = spec) inflight false
-      in
-      if att then incr attached;
-      Hashtbl.replace inflight id (spec, Util.now (), att);
-      List.iter answer
-        (Serve.submit engine (Proto.Tune { id; spec; deadline_rounds = None }))
-    done
+  let send u spec =
+    let id = string_of_int !next_id in
+    incr next_id;
+    let skey = Workload.session_key spec in
+    let att = Hashtbl.mem running skey in
+    if att then incr attached;
+    Hashtbl.replace inflight id (spec, Util.now (), att, u);
+    match Serve.submit engine (Proto.Tune { id; spec; deadline_rounds = None }) with
+    | [] ->
+        if not att then begin
+          Hashtbl.replace running skey (tag + !sessions);
+          incr sessions;
+          Queue.push skey active
+        end
+    | rs -> List.iter answer rs
   in
+  let rec submit () =
+    match !units with
+    | unit :: rest when Hashtbl.length busy < clients ->
+        units := rest;
+        let u = !next_unit in
+        incr next_unit;
+        Hashtbl.replace busy u (List.length unit);
+        List.iter (send u) unit;
+        submit ()
+    | [] when Hashtbl.length busy = 0 && !phases <> [] ->
+        store_at := Store.stats store :: !store_at;
+        units := List.hd !phases;
+        phases := List.tl !phases;
+        submit ()
+    | _ -> ()
+  in
+  let client f = Trace.with_span "bench.serve.client" f in
   let t0 = Util.now () in
-  submit ();
-  while Hashtbl.length inflight > 0 do
+  client submit;
+  while Hashtbl.length inflight > 0 && not (Queue.is_empty active) do
+    let skey = Queue.pop active in
     let responses, dt = Util.time (fun () -> Serve.step engine) in
     step_s := dt :: !step_s;
-    List.iter answer responses;
-    submit ()
+    Trace.instant "bench.serve.step"
+      ~attrs:[ ("task", Json.Int (Hashtbl.find running skey)) ];
+    if responses = [] then Queue.push skey active
+    else begin
+      Hashtbl.remove running skey;
+      List.iter
+        (fun (id, _) ->
+          match Hashtbl.find_opt inflight id with
+          | Some (spec, _, _, _) when Workload.session_key spec = skey -> ()
+          | _ -> Util.fail "serve: step answered %s, not a request of the stepped session" id)
+        responses
+    end;
+    client (fun () ->
+        List.iter answer responses;
+        submit ())
   done;
   let wall_s = Util.now () -. t0 in
+  if Hashtbl.length inflight > 0 then
+    Util.fail "serve: %d requests never answered" (Hashtbl.length inflight);
   let e =
     {
       setup_s;
       wall_s;
-      requests = Array.length stream;
+      requests = !next_id;
       session_ms = !session_ms;
       step_s = !step_s;
       ok = !ok;
@@ -137,11 +193,46 @@ let episode ~rng ~dir : episode =
       completed = Serve.completed_count engine;
       rounds = Serve.rounds_stepped engine;
       shed = Serve.shed_count engine;
-      store = Store.stats store;
+      store = List.rev (Store.stats store :: !store_at);
     }
   in
   ignore (Serve.shutdown engine);
   e
+
+(* The traffic mix, checked in every episode: one attach per operator,
+   two sessions per operator, fresh sessions that write to the Store and
+   shared-context sessions that read from it. *)
+let check_mix (e : episode) =
+  let n = List.length ops in
+  if e.attached <> n then Util.fail "traffic: %d attached requests, expected %d" e.attached n;
+  if e.completed <> 2 * n then
+    Util.fail "traffic: %d sessions completed, expected %d" e.completed (2 * n);
+  match e.store with
+  | [ fresh; all ] ->
+      if fresh.Store.result_inserts = 0 then
+        Util.fail "traffic: the fresh sessions wrote nothing to the Store";
+      if all.Store.result_hits = fresh.Store.result_hits then
+        Util.fail "traffic: the shared-context sessions read nothing from the Store"
+  | _ -> Util.fail "traffic: %d phases, expected 2" (List.length e.store)
+
+(* Everything an episode must repeat exactly: every episode of a run
+   replays the same stream. *)
+let check_repeat = function
+  | [] -> ()
+  | (first : episode) :: rest ->
+      let store (e : episode) =
+        List.map (fun s -> (s.Store.result_hits, s.Store.result_inserts)) e.store
+      in
+      List.iter
+        (fun (e : episode) ->
+          Util.same "serve requests" first.requests e.requests;
+          Util.same "serve attached" first.attached e.attached;
+          Util.same "serve trials" first.trials e.trials;
+          Util.same "serve rounds stepped" first.rounds e.rounds;
+          Util.same "serve store hits and inserts" (store first) (store e);
+          Util.same "serve results"
+            (List.sort compare first.ok) (List.sort compare e.ok))
+        rest
 
 (* The oracle: each spec tuned solo.  A daemon result must equal its solo
    run byte for byte, have a finite best latency and a best schedule that
@@ -193,14 +284,38 @@ let best_programs oracle =
       Option.map (fun p -> (p, task.Measure.feeds)) prog)
     oracle
 
-let run_episodes ~seed ~seconds ~dir =
-  let rng = Random.State.make [| seed |] in
+let run_episodes ~stream ~seconds ~dir =
   let t0 = Util.now () in
   let eps = ref [] in
   while List.length !eps < 3 || Util.now () -. t0 < seconds do
-    eps := episode ~rng ~dir :: !eps
+    eps := episode ~stream ~dir () :: !eps
   done;
   List.rev !eps
+
+(* The checks every episode of a run gets.  The episodes repeat exactly,
+   so the traffic of the first is printed to stderr for all of them. *)
+let check_all oracle eps =
+  List.iter ground_truth eps;
+  List.iter check_mix eps;
+  check_repeat eps;
+  (match eps with
+  | e :: _ ->
+      let phase (s : Store.stats) (p : Store.stats) =
+        Fmt.str "%d hits, %d inserts" (s.Store.result_hits - p.Store.result_hits)
+          (s.Store.result_inserts - p.Store.result_inserts)
+      in
+      let zero = { Store.result_hits = 0; result_inserts = 0;
+                   quarantine_hits = 0; quarantine_inserts = 0 } in
+      let fresh, shared =
+        match e.store with [ a; b ] -> (phase a zero, phase b a) | _ -> ("?", "?")
+      in
+      Fmt.epr
+        "perfbench: serve traffic per episode, clients %d: %d requests, %d \
+         attached, %d sessions; Store in the fresh phase %s, in the \
+         shared-context phase %s@."
+        clients e.requests e.attached e.completed fresh shared
+  | [] -> ());
+  List.fold_left (fun a e -> a + check oracle e) 0 eps
 
 let journal tmp = Filename.concat tmp "journal"
 
@@ -219,40 +334,33 @@ let setup_sample ~tmp =
   List.iter (fun e -> ignore (Serve.shutdown e)) engines;
   dt /. float_of_int batch
 
-(* Exec samples of every spec's best program, round robin, until
-   [seconds] have passed (at least two rounds); per spec the median.
+(* One exec sample of every spec's best program, joined to [samples].
    Buffers are fresh for every sample, so that no one placement in
    memory decides the run. *)
-let exec_ms ~seconds progs =
-  let samples = Array.make (List.length progs) [] in
-  let t0 = Util.now () and rounds = ref 0 in
-  while !rounds < 2 || Util.now () -. t0 < seconds do
-    List.iteri
-      (fun i (p, inputs) ->
-        let bufs = Runtime.alloc_bufs p ~inputs in
-        samples.(i) <- (Exec.measure p ~bufs).Exec.median_ms :: samples.(i))
-      progs;
-    incr rounds
-  done;
-  Array.to_list (Array.map Util.median samples)
+let exec_round samples progs =
+  List.iteri
+    (fun i (p, inputs) ->
+      let bufs = Runtime.alloc_bufs p ~inputs in
+      samples.(i) <- (Exec.measure p ~bufs).Exec.median_ms :: samples.(i))
+    progs
 
-(* tracing off: the end-to-end metrics.  Set-ups and episodes interleave
-   for 70% of the run, exec samples take the rest: exec samples taken
-   between episodes ran about a third slower than the same samples taken
-   back to back, so they get a phase of their own. *)
+(* tracing off: the end-to-end metrics.  Set-ups, episodes and exec
+   rounds interleave for the whole run, so that each median samples the
+   same stretch of machine time. *)
 let run_plain ~seed ~seconds ~tmp : Report.t =
   let oracle = List.map solo specs in
-  let rng = Random.State.make [| seed |] in
+  let stream = stream seed and progs = best_programs oracle in
+  let samples = Array.make (List.length progs) [] in
   let t0 = Util.now () in
   let eps = ref [] and setups = ref [] in
-  while List.length !eps < 3 || Util.now () -. t0 < 0.7 *. seconds do
+  while List.length !eps < 3 || Util.now () -. t0 < seconds do
     setups := setup_sample ~tmp :: !setups;
-    eps := episode ~rng ~dir:(journal tmp) :: !eps
+    eps := episode ~stream ~dir:(journal tmp) () :: !eps;
+    exec_round samples progs
   done;
-  let exec_ms = exec_ms ~seconds:(0.3 *. seconds) (best_programs oracle) in
-  let eps = !eps in
-  List.iter ground_truth eps;
-  let bad = List.fold_left (fun a e -> a + check oracle e) 0 eps in
+  let exec_ms = Array.to_list (Array.map Util.median samples) in
+  let eps = List.rev !eps in
+  let bad = check_all oracle eps in
   let sum f = List.fold_left (fun a e -> a + f e) 0 eps in
   let wall = Util.sum (List.map (fun e -> e.wall_s) eps) in
   {
@@ -272,28 +380,35 @@ let run_plain ~seed ~seconds ~tmp : Report.t =
   }
 
 (* tracing on: session latencies from untraced episodes, then the same
-   stream replayed under the trace for the per-layer figures *)
+   stream replayed under the trace for the per-layer figures.  Metric
+   collection is on throughout, so the tracing overhead is that of the
+   trace alone. *)
 let run_traced ~seed ~seconds ~tmp : Report.t =
   let oracle = List.map solo specs in
-  let plain = run_episodes ~seed ~seconds:(0.5 *. seconds) ~dir:(journal tmp) in
-  Metrics.reset ();
+  let stream = stream seed and dir = journal tmp in
   Metrics.enable ();
-  let n = min 3 (List.length plain) in
+  let plain = run_episodes ~stream ~seconds:(0.5 *. seconds) ~dir in
+  Metrics.reset ();
+  let n = min 5 (List.length plain) in
   let traced, t =
     Ledger.record ~path:(Filename.concat tmp "serve.jsonl") (fun () ->
-        let rng = Random.State.make [| seed |] in
-        List.init n (fun _ ->
-            Trace.with_span "bench.serve.episode" (fun () ->
-                episode ~rng ~dir:(journal tmp))))
+        List.init n (fun i ->
+            let before = Util.read Util.relation_counters in
+            let e =
+              Trace.with_span "bench.serve.episode" (fun () ->
+                  episode ~tag:(100 * i) ~stream ~dir ())
+            in
+            (e, Util.delta before (Util.read Util.relation_counters))))
   in
-  let counter name = Metrics.counter_value (Metrics.counter name) in
-  let rounds = counter "tuner.rounds" and runs = counter "profiler.runs" in
-  let batches = counter "pool.batches" and tasks = counter "pool.tasks.submitted" in
-  let validate = counter "layout.relation.validate" in
-  let compose = counter "layout.relation.compose" in
+  let rels = List.map snd traced and traced = List.map fst traced in
+  (* the Layout memo is warm: the solo tunes and the untraced episodes
+     have run the same specs, so every traced episode must count the same *)
+  List.iter (Util.same "layout.relation counts per episode" (List.hd rels)) rels;
+  let rounds = Util.counter "tuner.rounds" and runs = Util.counter "profiler.runs" in
+  let batches = Util.counter "pool.batches" in
+  let tasks = Util.counter "pool.tasks.submitted" in
   Metrics.disable ();
-  List.iter ground_truth (plain @ traced);
-  let bad = List.fold_left (fun a e -> a + check oracle e) 0 (plain @ traced) in
+  let bad = check_all oracle (plain @ traced) in
   let sum f = List.fold_left (fun a e -> a + f e) 0 traced in
   let f = float_of_int in
   let saves = Ledger.named t "checkpoint.save" in
@@ -312,15 +427,21 @@ let run_traced ~seed ~seconds ~tmp : Report.t =
          (fun s -> Option.value ~default:0.0 (Ledger.float_attr k s.Ledger.attrs))
          (Ledger.named t "measure.batch"))
   in
+  let fits = Ledger.fits ~closer:"bench.serve.step" t in
+  let fit_s = Util.sum (List.map snd fits.Ledger.per_task) in
+  let max_task_fit =
+    List.fold_left (fun a (_, s) -> Float.max a s) 0.0 fits.Ledger.per_task
+  in
   let sessions = List.concat_map (fun e -> e.session_ms) plain in
   (* session fibers keep spans open across steps, so a step cannot be a
      span of its own; the episode times each Serve.step call *)
   let steps = List.concat_map (fun e -> e.step_s) traced in
   let step_p, step_tail = Util.tail steps and ses_p, ses_tail = Util.tail sessions in
-  let hits = sum (fun e -> e.store.Store.result_hits) in
-  let inserts = sum (fun e -> e.store.Store.result_inserts) in
-  let wall eps = Util.sum (List.map (fun e -> e.wall_s) eps) in
-  let base = wall (List.filteri (fun i _ -> i < n) plain) in
+  let hits = sum (fun e -> (List.nth e.store 1).Store.result_hits) in
+  let inserts = sum (fun e -> (List.nth e.store 1).Store.result_inserts) in
+  let walls eps = List.map (fun e -> e.wall_s) eps in
+  let traced_wall = Util.sum (walls traced) in
+  let rel name = f (List.assoc name (List.hd rels) * n) in
   {
     Report.attempted = List.fold_left (fun a e -> a + e.requests) 0 (plain @ traced);
     failed = bad + List.fold_left (fun a e -> a + e.not_ok) 0 (plain @ traced);
@@ -332,9 +453,14 @@ let run_traced ~seed ~seconds ~tmp : Report.t =
           "ratio" );
         ("tuner.checkpoint.save_s", Ledger.total t "checkpoint.save", "s");
         ("tuner.checkpoint.saves", f (List.length saves), "count");
-        ("tuner.other_s", Ledger.self_prefix t [ "tuner." ], "s");
-        ("tensor.relation.validate", f validate, "count");
-        ("tensor.relation.compose", f compose, "count");
+        ("tuner.other_s", Ledger.self_prefix t [ "tuner." ] -. fit_s, "s");
+        ("costmodel.fit_s", fit_s, "s");
+        ("costmodel.fit_max_ms", fits.Ledger.max_ms, "ms");
+        ("costmodel.fit_share", Util.ratio fit_s traced_wall, "ratio");
+        ("costmodel.max_task_fit_share", Util.ratio max_task_fit fit_s, "ratio");
+        ("costmodel.unpaired_rounds", f fits.Ledger.unpaired, "count");
+        ("tensor.relation.validate", rel "layout.relation.validate", "count");
+        ("tensor.relation.compose", rel "layout.relation.compose", "count");
         ("parallel.pool.tasks", f tasks, "count");
         ("parallel.pool.batches", f batches, "count");
         ("serve.store.hit_ratio", Util.ratio (f hits) (f (hits + inserts)), "ratio");
@@ -345,11 +471,13 @@ let run_traced ~seed ~seconds ~tmp : Report.t =
         ("serve.step_s_tail", step_tail, "s");
         ("serve.step_s_tail_pct", step_p, "pct");
         ("serve.sessions", f (List.length sessions), "count");
-        ("serve.sessions_per_s", f (List.length sessions) /. wall plain, "1/s");
+        ("serve.sessions_per_s", f (List.length sessions) /. Util.sum (walls plain), "1/s");
         ("serve.session_ms_p50", Util.median sessions, "ms");
         ("serve.session_ms_tail", ses_tail, "ms");
         ("serve.session_ms_tail_pct", ses_p, "pct");
-        ("obs.trace_overhead", wall traced /. base, "ratio");
+        ( "obs.trace_overhead",
+          Util.median (walls traced) /. Util.median (walls plain),
+          "ratio" );
       ];
   }
 

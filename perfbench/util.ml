@@ -50,6 +50,17 @@ let peak_heap_mb () =
   float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
   /. 1e6
 
+(* Registry counters, read by name, and the change between two readings. *)
+let counter name = Alt.Metrics.counter_value (Alt.Metrics.counter name)
+let read names = List.map (fun n -> (n, counter n)) names
+let delta before after = List.map2 (fun (n, a) (_, b) -> (n, b - a)) before after
+
+(* Validations and compositions in the layout relation algebra.  They
+   tick inside Layout and Relation, which emit no span or instant, so
+   nothing else observes them; and Layout memoizes derived relations per
+   domain, so the counts depend on how warm that memo is. *)
+let relation_counters = [ "layout.relation.validate"; "layout.relation.compose" ]
+
 (* Failures found by the correctness gate and the determinism and
    ground-truth guards.  Each is printed to stderr as it is found. *)
 let failures = ref []

@@ -175,10 +175,6 @@ let memo_counters =
     "measure.lower.feat_misses";
   ]
 
-let counter name = Metrics.counter_value (Metrics.counter name)
-let read names = List.map (fun n -> (n, counter n)) names
-let delta before after = List.map2 (fun (n, a) (_, b) -> (n, b - a)) before after
-
 (* Everything that must repeat exactly between compiles of one seed. *)
 type fingerprint = {
   spent : int;
@@ -187,10 +183,11 @@ type fingerprint = {
   convs : int list;
   fused : int list;
   memo : (string * int) list;
+  rel : (string * int) list; (* Util.relation_counters; 0 unless metrics are on *)
   plans : string;
 }
 
-let fingerprint (report : Scheduler.report) tuned ~memo ~sim_ms =
+let fingerprint (report : Scheduler.report) tuned ~memo ~rel ~sim_ms =
   let plan (_, (tg : Graph_tuner.tuned_graph)) =
     Fmt.str "%a|%a" Propagate.pp tg.Graph_tuner.compiled.Compile.plan
       Fmt.(list (pair string Schedule.pp))
@@ -203,16 +200,18 @@ let fingerprint (report : Scheduler.report) tuned ~memo ~sim_ms =
     convs = List.map (fun (_, tg) -> conversions tg) tuned;
     fused = List.map (fun (_, tg) -> fused_ops tg) tuned;
     memo;
+    rel;
     plans = Digest.to_hex (Digest.string (String.concat "\n" (List.map plan tuned)));
   }
 
-let check_same a b =
+let check_same ?(rel = true) a b =
   Util.same "trials spent" a.spent b.spent;
   Util.same "picks" a.picks b.picks;
   Util.same "per-model model_sim_ms" a.sim_ms b.sim_ms;
   Util.same "conversions" a.convs b.convs;
   Util.same "fused ops" a.fused b.fused;
   Util.same "memo counts" a.memo b.memo;
+  if rel then Util.same "layout.relation counts" a.rel b.rel;
   Util.same "tuned plans" a.plans b.plans
 
 (* One checked compile: the compile is timed, the oracle is not.  [wrap]
@@ -227,18 +226,20 @@ type rep = {
 }
 
 let checked_compile ?(wrap = fun f -> f ()) policy zoo models =
-  let before = read memo_counters in
+  let before = Util.read memo_counters in
+  let rel0 = Util.read Util.relation_counters in
   let (report, tuned), compile_s =
     wrap (fun () -> Util.time (fun () -> compile policy zoo))
   in
-  let memo = delta before (read memo_counters) in
+  let memo = Util.delta before (Util.read memo_counters) in
+  let rel = Util.delta rel0 (Util.read Util.relation_counters) in
   let sims = List.map2 (fun m (_, tg) -> simulate m tg) models tuned in
   let sim_ms = List.map (Option.value ~default:Float.nan) sims in
   {
     compile_s;
     report;
     tuned;
-    fp = fingerprint report tuned ~memo ~sim_ms;
+    fp = fingerprint report tuned ~memo ~rel ~sim_ms;
     failed = List.length (List.filter Option.is_none sims);
   }
 
@@ -316,8 +317,6 @@ let traced_counters =
       "tuner.rounds";
       "profiler.runs";
       "profiler.sampled_runs";
-      "layout.relation.validate";
-      "layout.relation.compose";
       "pool.batches";
       "pool.tasks.submitted";
     ]
@@ -328,25 +327,32 @@ let ground_truth what counter observed =
   if counter <> observed then
     Util.fail "ground truth: %s counter %d, observed %d" what counter observed
 
-(* tracing on: the per-layer ledger.  One untraced compile is the base
-   of the tracing overhead; the traced compile is then folded into
-   self-time per layer, and the generated code is planned, compiled,
-   lowered and run again under the benchmark's own spans. *)
+(* tracing on: the per-layer ledger.  Metric collection is on for three
+   compiles.  The first compile of the process meets a Layout memo that
+   only set-up has filled; it gives the layout.relation counts, as one
+   `alt schedule` run would see them.  The second, untraced, is the base
+   of the tracing overhead.  The third is traced and folded into
+   self-time per layer; then the generated code is planned, compiled,
+   lowered and run again under the benchmark's own spans.  The second
+   and third meet the same warm memo, so their layout.relation counts
+   must repeat. *)
 let run_traced ~policy ~seed ~seconds:_ ~tmp : Report.t =
   let zoo, _ = setup () in
   let models = models ~seed zoo in
-  let base = checked_compile policy zoo models in
   Metrics.reset ();
   Metrics.enable ();
+  let cold = checked_compile policy zoo models in
+  let base = checked_compile policy zoo models in
+  check_same ~rel:false cold.fp base.fp;
   let counted = ref [] and ct = ref Ledger.empty in
   let traced =
     checked_compile policy zoo models ~wrap:(fun f ->
-        let before = read traced_counters in
+        let before = Util.read traced_counters in
         let r, l =
           Ledger.record ~path:(Filename.concat tmp "compile.jsonl") (fun () ->
               Trace.with_span "bench.compile" f)
         in
-        counted := delta before (read traced_counters);
+        counted := Util.delta before (Util.read traced_counters);
         ct := l;
         r)
   in
@@ -375,7 +381,7 @@ let run_traced ~policy ~seed ~seconds:_ ~tmp : Report.t =
   ground_truth "pool.tasks.submitted" (c "pool.tasks.submitted")
     (List.fold_left ( + ) 0 batches);
   (* the evaluation, under the benchmark's own spans *)
-  let exec_before = read exec_counters in
+  let exec_before = Util.read exec_counters in
   let (walls1, walls2, stages), et =
     Ledger.record ~path:(Filename.concat tmp "eval.jsonl") (fun () ->
         let stages =
@@ -430,7 +436,7 @@ let run_traced ~policy ~seed ~seconds:_ ~tmp : Report.t =
         let w2 = pass 2 in
         (w1, w2, stages))
   in
-  let e = delta exec_before (read exec_counters) in
+  let e = Util.delta exec_before (Util.read exec_counters) in
   Metrics.disable ();
   let all1 = List.concat walls1 and all2 = List.concat walls2 in
   let total field ws = List.fold_left (fun a w -> a + field w) 0 ws in
@@ -459,7 +465,7 @@ let run_traced ~policy ~seed ~seconds:_ ~tmp : Report.t =
         if w.Exec.par_chunks > 0 then Some w.Exec.imbalance_pct else None)
       all2
   in
-  let fits = Ledger.fits ct in
+  let fits = Ledger.fits ~closer:"scheduler.pick" ct in
   let fit_s = Util.sum (List.map snd fits.Ledger.per_task) in
   let max_task_fit =
     List.fold_left (fun a (_, s) -> Float.max a s) 0.0 fits.Ledger.per_task
@@ -487,8 +493,8 @@ let run_traced ~policy ~seed ~seconds:_ ~tmp : Report.t =
   let hit_ratio h m = Util.ratio (f (c h)) (f (c h + c m)) in
   let lowers = Ledger.count et "bench.ir.lower" in
   {
-    Report.attempted = 2 * List.length models;
-    failed = base.failed + traced.failed;
+    Report.attempted = 3 * List.length models;
+    failed = cold.failed + base.failed + traced.failed;
     metrics =
       Ledger.measurement_metrics ct
       @ [
@@ -539,8 +545,12 @@ let run_traced ~policy ~seed ~seconds:_ ~tmp : Report.t =
           ( "ir.lower_ms_per_call",
             1e3 *. Util.ratio (Ledger.total et "bench.ir.lower") (f lowers),
             "ms" );
-          ("tensor.relation.validate", f (c "layout.relation.validate"), "count");
-          ("tensor.relation.compose", f (c "layout.relation.compose"), "count");
+          ( "tensor.relation.validate",
+            f (List.assoc "layout.relation.validate" cold.fp.rel),
+            "count" );
+          ( "tensor.relation.compose",
+            f (List.assoc "layout.relation.compose" cold.fp.rel),
+            "count" );
           ("parallel.pool.tasks", f (c "pool.tasks.submitted"), "count");
           ("parallel.pool.batches", f (c "pool.batches"), "count");
           ("obs.trace_overhead", traced.compile_s /. base.compile_s, "ratio");
