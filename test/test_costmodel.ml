@@ -22,6 +22,28 @@ let continuous_data ~seed ~n ~d =
   in
   (xs, ys)
 
+(* Heavily tied discrete data shaped like the tuner's feature vectors
+   (d = 24 columns of small-integer knob levels): column [f] takes one of
+   [1 + f mod 6] levels, so column 0 is constant and most nodes see long
+   tied runs.  Targets depend on the knobs plus coarse noise, so tied
+   runs carry distinct residuals — the inputs whose prefix-sum rounding
+   depends on the order of a tied run. *)
+let tied_data ~seed ~n ~d =
+  let rng = Random.State.make [| seed |] in
+  let xs =
+    Array.init n (fun _ ->
+        Array.init d (fun f -> float_of_int (Random.State.int rng (1 + (f mod 6)))))
+  in
+  let ys =
+    Array.map
+      (fun x ->
+        let s = ref 0.0 in
+        Array.iteri (fun f v -> s := !s +. (v *. float_of_int (1 + (f mod 4)))) x;
+        !s +. (float_of_int (Random.State.int rng 8) /. 4.0))
+      xs
+  in
+  (xs, ys)
+
 (* ------------------------------------------------------------------ *)
 (* Fitting                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -53,6 +75,90 @@ let prop_old_new_equivalent =
     (fun (seed, n) ->
       let xs, ys = continuous_data ~seed ~n ~d:5 in
       Gbdt.equal (Gbdt.fit xs ys) (Gbdt.fit_reference xs ys))
+
+(* Tie goldens.  Digests of [fit] and [refit] models on tied data, pinned
+   from the presort-and-allocate fitter.  [fit_reference] re-sorts tied runs unstably, so it is no
+   oracle on tied columns; these goldens carry the earlier fitter's exact
+   trees instead.  Each case is (seed, n, max_depth, min_samples,
+   n_trees); the refit model boosts [extra_trees = n_trees / 2 + 1] onto a
+   fit of the first half of the data, on the full data. *)
+let tie_cases =
+  [
+    (1, 8, 1, 1, 5); (2, 9, 2, 1, 8); (3, 16, 3, 2, 10); (4, 31, 4, 1, 12);
+    (5, 50, 5, 3, 20); (6, 64, 6, 4, 40); (7, 100, 4, 4, 40);
+    (8, 128, 3, 5, 30); (9, 200, 6, 1, 40); (10, 257, 2, 6, 25);
+    (11, 300, 5, 2, 40); (12, 400, 4, 4, 40); (13, 512, 1, 3, 15);
+    (14, 600, 6, 6, 40); (15, 700, 3, 1, 20); (16, 800, 4, 4, 40);
+    (17, 900, 5, 5, 30); (18, 1000, 6, 2, 40); (19, 1100, 2, 1, 10);
+    (20, 1200, 4, 4, 40); (21, 1200, 6, 1, 40); (22, 33, 6, 1, 40);
+  ]
+
+let tie_digests (seed, n, max_depth, min_samples, n_trees) =
+  let params =
+    { Gbdt.default_params with max_depth; min_samples; n_trees }
+  in
+  let xs, ys = tied_data ~seed ~n ~d:24 in
+  let digest m = Digest.to_hex (Digest.string (Marshal.to_string m [])) in
+  let half = n / 2 in
+  let m0 = Gbdt.fit ~params (Array.sub xs 0 half) (Array.sub ys 0 half) in
+  ( digest (Gbdt.fit ~params xs ys),
+    digest (Gbdt.refit ~params ~extra_trees:((n_trees / 2) + 1) m0 xs ys) )
+
+let tie_goldens =
+  [
+    ("7420b56f9939d5b53b2e240229a8a941",
+     "45c32d53c90008a406411dfa599f6bea");
+    ("279c500231b1d251d0b719273e077e99",
+     "ec2c20bf4b469441f297a717374534de");
+    ("342c6d983f2ee695735e2192e2839336",
+     "146b3b5309446c095b793965f2ac2024");
+    ("f08bd704c0729b9f33c45e1bb898d0d1",
+     "4eabb009c6b092633225ccda1949bbe2");
+    ("40a919c24c7387ebc9839f3a30df1c7b",
+     "34b1235cf54636fd90ce1b9c3b9badf3");
+    ("ef97fdbb11a6d11d419e519b7b3ade3b",
+     "84f084feb260b1736d6b5094918f7936");
+    ("00873fda324f96926a1e8a2556797d0f",
+     "5328f8c4f0504f168cfdb09011c69343");
+    ("e2052a4511b5f16f17de6c9991a27a1b",
+     "c688168fb3440f3e6428d338c2f09456");
+    ("a8cfb75fde25bf99ae7eec8335735e2c",
+     "76b40f11907882a5b1407b7de29ae33b");
+    ("c22a450e7d2d4afdb4cb72cd494df1d2",
+     "f1d109e34bcbe35045154a76e5d4d7a8");
+    ("eea3a2e9125c6a3effa8cb30b581487a",
+     "d9a4dbaca9860c2e941dd3edd52832cf");
+    ("083bb7340f982d8a65794a00eb54438e",
+     "2019bf7831e94cdb9d749769d01a6f64");
+    ("e82be760de00588dcf5441a523eb8051",
+     "918901a18dd3eb29fd01502437f80fa3");
+    ("236ba2375e260fde45bce9ad508502ad",
+     "8ca06e764879e2e5acb763494ea84187");
+    ("9968f59e0ecff01b30d8cd2627ea65d6",
+     "0319c09dcc9a6ac0373d4b0f428d6c60");
+    ("aa0d348d70df99eb64f4b623b3fb17a3",
+     "441a0cd263cf477e2b9412963c3263e4");
+    ("583867ac60dfb0daa3db6ee4be5f4e3d",
+     "be53ec1931f164e1b08ec6c9f5a68bb9");
+    ("16d6d54d22a73fab274d4bac538d2eac",
+     "f797b648328aea2a6d1887578ec36f36");
+    ("a11eba3c77f330c0a77f583ae3c66cfd",
+     "b6782263f10b6f9de8f1bf31e29e49e1");
+    ("c58795c58834cdcb8210f8259c737fcd",
+     "6f0287dda33de70b86eee9e65fa6c3a0");
+    ("e99960f9a9144f4ba45a34549db216f3",
+     "407bdc3ab9ff5865a41f12f7a920240b");
+    ("e02946a95b97e028687d87fbb7916791",
+     "b99dcb0eb5c1597d1b936b3c61e4792c");
+  ]
+
+let test_tie_goldens () =
+  List.iter2
+    (fun ((seed, n, _, _, _) as case) (fit_hex, refit_hex) ->
+      let f, r = tie_digests case in
+      Alcotest.(check string) (Fmt.str "fit seed %d n %d" seed n) fit_hex f;
+      Alcotest.(check string) (Fmt.str "refit seed %d n %d" seed n) refit_hex r)
+    tie_cases tie_goldens
 
 (* ------------------------------------------------------------------ *)
 (* Prediction                                                         *)
@@ -161,6 +267,7 @@ let () =
         [
           Alcotest.test_case "monotone synthetic" `Quick test_monotone;
           Alcotest.test_case "split determinism" `Quick test_split_determinism;
+          Alcotest.test_case "tie goldens" `Quick test_tie_goldens;
         ] );
       qsuite "fit-props" [ prop_old_new_equivalent ];
       ( "predict",
