@@ -1,8 +1,12 @@
 # Tier-1 gate: everything builds, every test suite passes.
+#
+# The bench-* targets write BENCH_<name>.json at the repo root (quick
+# scale by default, or full); their *-smoke variants write under _build/
+# so they never overwrite the committed perf trajectory.
 .PHONY: all check test bench bench-profiler bench-profiler-smoke \
 	bench-tuner bench-tuner-smoke fault-smoke obs-smoke exec-smoke \
 	serve-smoke relation-smoke bench-crossval bench-crossval-smoke \
-	bench-exec bench-exec-smoke bench-e2e bench-e2e-smoke clean
+	bench-exec bench-exec-smoke bench-e2e bench-e2e-smoke perfbench-smoke clean
 
 all:
 	dune build @all
@@ -29,8 +33,8 @@ bench-profiler-smoke:
 	ALT_BENCH_SCALE=smoke dune exec bench/bench_profiler.exe
 
 # search-side micro-benchmark: times GBDT fitting (per-node re-sort vs
-# presort-and-partition) and candidate ranking (per-sample vs batched
-# prediction), plus an old-vs-new tune_alt wall-clock comparison
+# the exact-greedy workspace fitter) and candidate ranking (per-sample vs
+# batched prediction), plus an old-vs-new tune_alt wall-clock comparison
 # (ALT_GBDT_REFERENCE=1 pins the seed fitter), writes BENCH_tuner.json
 bench-tuner:
 	dune exec bench/bench_tuner.exe
@@ -110,9 +114,16 @@ bench-e2e:
 bench-e2e-smoke:
 	ALT_BENCH_SCALE=smoke dune exec bench/bench_e2e.exe
 
+# perfbench gate: a short zoo_gradient run of the compile-and-run
+# benchmark (perfbench/README.md); run.py exits non-zero when its
+# correctness gate or a determinism or ground-truth guard fails
+perfbench-smoke:
+	python3 perfbench/run.py --workload zoo_gradient --seed 1 --seconds 5 \
+	  --trace 0
+
 check: all test relation-smoke bench-profiler-smoke bench-tuner-smoke \
 	fault-smoke obs-smoke exec-smoke serve-smoke bench-crossval-smoke \
-	bench-exec-smoke bench-e2e-smoke
+	bench-exec-smoke bench-e2e-smoke perfbench-smoke
 
 # quick-scale regeneration of the paper's tables and figures
 bench:

@@ -148,9 +148,11 @@ let () =
   in
   let rows = [ stream; gmm; conv ] in
   let json = json_of_rows rows in
-  let oc = open_out "BENCH_crossval.json" in
+  let path = Bench_util.bench_json "crossval" in
+  let oc = open_out path in
   output_string oc json;
   close_out oc;
+  Fmt.pr "wrote %s@." path;
   Fmt.pr "%s" json;
   (* The bench is also a gate, but only where the two devices share the
      dominant cost: the streaming workload is miss-bound on both sides,

@@ -130,9 +130,11 @@ let () =
   let speedup = static.total_ms /. gradient.total_ms in
   Fmt.pr "static/gradient latency ratio at equal budget: %.4f@." speedup;
   let json = json_of_runs static gradient ~speedup in
-  let oc = open_out "BENCH_e2e.json" in
+  let path = Bench_util.bench_json "e2e" in
+  let oc = open_out path in
   output_string oc json;
   close_out oc;
+  Fmt.pr "wrote %s@." path;
   Fmt.pr "%s" json;
   (* the gate: the gradient scheduler must not lose the zoo total to the
      static split when both spend the same global budget *)

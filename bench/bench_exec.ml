@@ -317,9 +317,11 @@ let () =
         else Fmt.str "FAILED: rho %.3f <= 0.5" rho
   in
   let json = json_of rows ~macro_speedup ~speedup_gate ~rank_gate in
-  let oc = open_out "BENCH_exec.json" in
+  let path = Bench_util.bench_json "exec" in
+  let oc = open_out path in
   output_string oc json;
   close_out oc;
+  Fmt.pr "wrote %s@." path;
   Fmt.pr "%s" json;
   if String.length speedup_gate >= 6 && String.sub speedup_gate 0 6 = "FAILED"
   then

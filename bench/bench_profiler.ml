@@ -237,7 +237,8 @@ let () =
   let speedups = List.map (fun r -> r.fast_rps /. r.scalar_rps) rows in
   Fmt.pr "geomean speedup: %.2fx@." (geomean speedups);
   let json = json_of_rows machine rows in
-  let oc = open_out "BENCH_profiler.json" in
+  let path = Bench_util.bench_json "profiler" in
+  let oc = open_out path in
   output_string oc json;
   close_out oc;
-  Fmt.pr "wrote BENCH_profiler.json@."
+  Fmt.pr "wrote %s@." path

@@ -278,7 +278,8 @@ let () =
   Fmt.pr "ranking throughput          : %.1f candidates/s (feature cache %d hits / %d misses)@."
     e.ranked_per_s e.feat_hits e.feat_misses;
   let json = json_of machine m e in
-  let oc = open_out "BENCH_tuner.json" in
+  let path = Bench_util.bench_json "tuner" in
+  let oc = open_out path in
   output_string oc json;
   close_out oc;
-  Fmt.pr "wrote BENCH_tuner.json@."
+  Fmt.pr "wrote %s@." path

@@ -23,6 +23,17 @@ let scale_name =
 let pick ~smoke ~quick ~full =
   match scale with Smoke -> smoke | Quick -> quick | Full -> full
 
+(* Where a bench writes BENCH_<name>.json: the repo root at quick and full
+   scale, where the committed perf trajectory lives, and under _build/ at
+   smoke scale, so smoke runs never overwrite the committed files. *)
+let bench_json name =
+  let file = Fmt.str "BENCH_%s.json" name in
+  match scale with
+  | Quick | Full -> file
+  | Smoke ->
+      if not (Sys.file_exists "_build") then Sys.mkdir "_build" 0o755;
+      Filename.concat "_build" file
+
 (* Measurement parallelism for the tuning drivers.  Defaults from ALT_JOBS;
    bench/main.ml overrides it from a --jobs flag.  0 = all cores.  Tuning
    results are identical for every value (the engine's determinism

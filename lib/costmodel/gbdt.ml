@@ -6,14 +6,15 @@
    from simulator measurements and uses predictions to pick the top-k
    candidates to actually measure.
 
-   Two fitters produce the same trees:
+   Two fitters:
 
    - [fit] is the exact-greedy fitter (XGBoost's "exact" tree method):
-     every feature column is argsorted {e once per fit}, and each node
-     receives its samples as per-feature index partitions that stay sorted
-     all the way down the tree (a stable partition by split membership).
-     Total sort cost is O(d n log n) per fit instead of
-     O(trees x nodes x d x n log n).
+     the features are transposed into columns and every column is
+     argsorted {e once per fit}.  Each node owns a segment of every
+     presorted column in one per-fit workspace and splits it by a stable
+     in-place partition, so the columns stay sorted all the way down the
+     tree and nothing below the root allocates.  Total sort cost is
+     O(d n log n) per fit instead of O(trees x nodes x d x n log n).
 
    - [fit_reference] is the seed implementation (a fresh per-node
      per-feature [Array.sort]), kept verbatim as the differential oracle
@@ -26,7 +27,10 @@
    fitter's unstable sort may permute the tied run differently than the
    stable partition; the split {e sets} still agree exactly (splits never
    separate tied values), and only the last-ulp rounding of the tied run's
-   prefix sums could differ — see DESIGN.md §10. *)
+   prefix sums could differ.  [fit] itself takes its tie order from the
+   kept per-fit presort, so on tied data it reproduces the earlier
+   presort-and-allocate fitter's trees exactly (pinned by goldens) — see
+   DESIGN.md §10. *)
 
 type tree =
   | Leaf of float
@@ -136,151 +140,197 @@ let predict_batch t (xs : float array array) : float array =
   out
   end
 
-let mean a idx =
-  if Array.length idx = 0 then 0.0
-  else
-    Array.fold_left (fun s i -> s +. a.(i)) 0.0 idx
-    /. float_of_int (Array.length idx)
+(* Mean and SSE of [a] over segment [lo, hi) of [idx], summed in [idx]
+   order (the order the reference fitter visits a node's samples). *)
+let seg_mean a idx ~lo ~hi =
+  if hi <= lo then 0.0
+  else begin
+    let s = ref 0.0 in
+    for k = lo to hi - 1 do
+      s := !s +. a.(idx.(k))
+    done;
+    !s /. float_of_int (hi - lo)
+  end
+
+let seg_sse a idx ~lo ~hi ~mean =
+  let s = ref 0.0 in
+  for k = lo to hi - 1 do
+    s := !s +. ((a.(idx.(k)) -. mean) ** 2.0)
+  done;
+  !s
+
+let mean a idx = seg_mean a idx ~lo:0 ~hi:(Array.length idx)
 
 let sse a idx =
-  let m = mean a idx in
-  Array.fold_left (fun s i -> s +. ((a.(i) -. m) ** 2.0)) 0.0 idx
+  seg_sse a idx ~lo:0 ~hi:(Array.length idx) ~mean:(mean a idx)
 
 (* ------------------------------------------------------------------ *)
-(* Exact-greedy fitter (presort once per fit)                         *)
+(* Exact-greedy fitter (presort once per fit, partition in place)     *)
 (* ------------------------------------------------------------------ *)
 
-(* Best (feature, threshold) split of a node given [cols]: for each
-   feature, the node's sample indices sorted by that feature (threaded
-   down from the per-fit presort, never re-sorted).  [idx] is the node's
-   samples in the reference fitter's visitation order, used only for the
-   order-sensitive [parent_sse] float sum.  Returns the winning
-   [(gain, feat, thresh, i)] with [i] the left-child size in the sorted
-   column — the split candidates, their enumeration order and every
-   floating-point expression are those of the reference fitter. *)
-let best_split_sorted (xs : float array array) (ys : float array)
-    ~(cols : int array array) ~(idx : int array) ~min_samples =
-  let nfeat = Array.length cols in
-  let best = ref None in
-  let parent_sse = sse ys idx in
-  for f = 0 to nfeat - 1 do
-    let sorted = cols.(f) in
-    let n = Array.length sorted in
-    (* prefix sums for O(n) split evaluation *)
-    let psum = Array.make (n + 1) 0.0 and psq = Array.make (n + 1) 0.0 in
-    for i = 0 to n - 1 do
-      psum.(i + 1) <- psum.(i) +. ys.(sorted.(i));
-      psq.(i + 1) <- psq.(i) +. (ys.(sorted.(i)) ** 2.0)
+(* Per-fit workspace.  A node owns segment [lo, hi) of every column of
+   [cols]: column [f]'s segment is the node's samples sorted by feature
+   [f].  A split stably partitions each segment in place (left members
+   first), so the children own [lo, lo + at) and [lo + at, hi) and
+   nothing below the root allocates. *)
+type workspace = {
+  vals : float array array; (* vals.(f).(s) = xs.(s).(f) *)
+  sorted : int array array; (* per-fit argsort of every column of [vals] *)
+  cols : int array array; (* per-tree working copy of [sorted] *)
+  ident : int array; (* 0 .. n-1: the root's visitation order *)
+  sq : float array; (* residual ** 2.0, per tree *)
+  scratch : int array; (* right members during a partition *)
+  mark : bool array; (* left membership during a partition *)
+  mutable split_at : int; (* left-child size of the last [best_split] *)
+}
+
+(* Transpose the features and argsort every column once; shared by all
+   trees of a fit (the sort key is x, which boosting never changes).  The
+   comparator and the input permutation match the reference fitter's
+   root-node sort, so the presorted columns are bit-compatible with it. *)
+let workspace (xs : float array array) =
+  let n = Array.length xs and nfeat = Array.length xs.(0) in
+  let vals = Array.init nfeat (fun f -> Array.init n (fun s -> xs.(s).(f))) in
+  let sorted =
+    Array.map
+      (fun v ->
+        let a = Array.init n Fun.id in
+        Array.sort (fun i j -> Float.compare v.(i) v.(j)) a;
+        a)
+      vals
+  in
+  {
+    vals;
+    sorted;
+    cols = Array.map Array.copy sorted;
+    ident = Array.init n Fun.id;
+    sq = Array.make n 0.0;
+    scratch = Array.make n 0;
+    mark = Array.make n false;
+    split_at = 0;
+  }
+
+(* Best split of the node owning [lo, hi): returns the winning feature
+   (left-child size in [ws.split_at]), or -1 if no candidate gains more
+   than 1e-12.  The split candidates, their enumeration order and every
+   floating-point expression are those of the reference fitter; its
+   prefix-sum arrays become a total pass plus a running scan that adds
+   the same terms in the same order. *)
+let best_split ws (ys : float array) ~lo ~hi ~parent_sse ~min_samples =
+  let n = hi - lo in
+  let sq = ws.sq in
+  let found = ref false and best_gain = ref 0.0 and best_feat = ref (-1) in
+  for f = 0 to Array.length ws.cols - 1 do
+    let col = ws.cols.(f) and v = ws.vals.(f) in
+    let tsum = ref 0.0 and tsq = ref 0.0 in
+    for k = lo to hi - 1 do
+      let s = col.(k) in
+      tsum := !tsum +. ys.(s);
+      tsq := !tsq +. sq.(s)
+    done;
+    let lsum = ref 0.0 and lsq = ref 0.0 in
+    for k = lo to lo + min_samples - 1 do
+      let s = col.(k) in
+      lsum := !lsum +. ys.(s);
+      lsq := !lsq +. sq.(s)
     done;
     for i = min_samples to n - min_samples do
-      if xs.(sorted.(i - 1)).(f) < xs.(sorted.(i)).(f) then begin
+      let k = lo + i in
+      if v.(col.(k - 1)) < v.(col.(k)) then begin
         let ln = float_of_int i and rn = float_of_int (n - i) in
-        let lsum = psum.(i) and rsum = psum.(n) -. psum.(i) in
-        let lsq = psq.(i) and rsq = psq.(n) -. psq.(i) in
+        let lsum = !lsum and rsum = !tsum -. !lsum in
+        let lsq = !lsq and rsq = !tsq -. !lsq in
         let lsse = lsq -. (lsum *. lsum /. ln) in
         let rsse = rsq -. (rsum *. rsum /. rn) in
         let gain = parent_sse -. (lsse +. rsse) in
-        let thresh = (xs.(sorted.(i - 1)).(f) +. xs.(sorted.(i)).(f)) /. 2.0 in
-        match !best with
-        | Some (g, _, _, _) when g >= gain -> ()
-        | _ -> best := Some (gain, f, thresh, i)
-      end
+        if not (!found && !best_gain >= gain) then begin
+          found := true;
+          best_gain := gain;
+          best_feat := f;
+          ws.split_at <- i
+        end
+      end;
+      let s = col.(k) in
+      lsum := !lsum +. ys.(s);
+      lsq := !lsq +. sq.(s)
     done
   done;
-  !best
+  if !found && not (!best_gain <= 1e-12) then !best_feat else -1
 
-(* Stable partition of every sorted column by left-child membership.
-   Membership is decided by {e rank} in the split feature's column (the
-   first [i] entries), not by comparing against the threshold — midpoint
-   thresholds can round onto a boundary value, and rank is what the
-   reference fitter's [Array.sub] uses.  [mark] is a per-fit scratch
-   array; marks are cleared before returning. *)
-let partition_cols (cols : int array array) ~(feat : int) ~(i : int)
-    ~(mark : bool array) =
-  let sf = cols.(feat) in
-  let n = Array.length sf in
-  for k = 0 to i - 1 do
+(* Stable in-place partition of every column's [lo, hi) by left-child
+   membership.  Membership is decided by {e rank} in the split feature's
+   column (its first [at] entries), not by comparing against the
+   threshold — midpoint thresholds can round onto a boundary value, and
+   rank is what the reference fitter's [Array.sub] uses.  The split
+   column is already partitioned; marks are cleared before returning. *)
+let partition ws ~feat ~lo ~hi ~at =
+  let sf = ws.cols.(feat) and mark = ws.mark and scratch = ws.scratch in
+  for k = lo to lo + at - 1 do
     mark.(sf.(k)) <- true
   done;
-  let split col =
-    let l = Array.make i 0 and r = Array.make (n - i) 0 in
-    let li = ref 0 and ri = ref 0 in
-    Array.iter
-      (fun s ->
-        if mark.(s) then begin
-          l.(!li) <- s;
-          incr li
-        end
-        else begin
-          r.(!ri) <- s;
-          incr ri
-        end)
-      col;
-    (l, r)
-  in
-  let lcols = Array.make (Array.length cols) [||] in
-  let rcols = Array.make (Array.length cols) [||] in
   Array.iteri
     (fun f col ->
-      let l, r = split col in
-      lcols.(f) <- l;
-      rcols.(f) <- r)
-    cols;
-  for k = 0 to i - 1 do
+      if f <> feat then begin
+        let l = ref lo and r = ref 0 in
+        for k = lo to hi - 1 do
+          let s = col.(k) in
+          if mark.(s) then begin
+            col.(!l) <- s;
+            incr l
+          end
+          else begin
+            scratch.(!r) <- s;
+            incr r
+          end
+        done;
+        Array.blit scratch 0 col !l !r
+      end)
+    ws.cols;
+  for k = lo to lo + at - 1 do
     mark.(sf.(k)) <- false
-  done;
-  (lcols, rcols)
+  done
 
-let rec fit_tree_sorted xs ys ~idx ~cols ~depth ~params ~mark =
-  if
-    depth >= params.max_depth
-    || Array.length idx < 2 * params.min_samples
-    || sse ys idx < 1e-10
-  then Leaf (mean ys idx)
+(* Grow the subtree of the node owning [lo, hi).  [idx] holds the node's
+   samples at [lo, hi) in the reference fitter's visitation order: the
+   identity at the root, the parent's split column below it (the
+   reference hands children [Array.sub sorted], which is exactly that
+   partitioned segment). *)
+let rec grow ws ys ~idx ~lo ~hi ~depth ~params =
+  let mean = seg_mean ys idx ~lo ~hi in
+  if depth >= params.max_depth || hi - lo < 2 * params.min_samples then
+    Leaf mean
   else
-    match
-      best_split_sorted xs ys ~cols ~idx ~min_samples:params.min_samples
-    with
-    | None -> Leaf (mean ys idx)
-    | Some (gain, feat, thresh, i) ->
-        if gain <= 1e-12 || i = 0 || i = Array.length idx then
-          Leaf (mean ys idx)
-        else begin
-          let lcols, rcols = partition_cols cols ~feat ~i ~mark in
-          (* the reference fitter hands children their samples in the
-             split feature's sorted order ([Array.sub sorted 0 i]) — the
-             partitioned column is exactly that array *)
-          Node
-            {
-              feat;
-              thresh;
-              left =
-                fit_tree_sorted xs ys ~idx:lcols.(feat) ~cols:lcols
-                  ~depth:(depth + 1) ~params ~mark;
-              right =
-                fit_tree_sorted xs ys ~idx:rcols.(feat) ~cols:rcols
-                  ~depth:(depth + 1) ~params ~mark;
-            }
-        end
+    let parent_sse = seg_sse ys idx ~lo ~hi ~mean in
+    if parent_sse < 1e-10 then Leaf mean
+    else
+      let feat =
+        best_split ws ys ~lo ~hi ~parent_sse ~min_samples:params.min_samples
+      in
+      if feat < 0 then Leaf mean
+      else begin
+        let at = ws.split_at in
+        let col = ws.cols.(feat) and v = ws.vals.(feat) in
+        let thresh = (v.(col.(lo + at - 1)) +. v.(col.(lo + at))) /. 2.0 in
+        partition ws ~feat ~lo ~hi ~at;
+        let mid = lo + at and depth = depth + 1 in
+        let left = grow ws ys ~idx:col ~lo ~hi:mid ~depth ~params in
+        let right = grow ws ys ~idx:col ~lo:mid ~hi ~depth ~params in
+        Node { feat; thresh; left; right }
+      end
 
-(* Argsort every feature column once; shared by all trees of a fit (the
-   sort key is x, which boosting never changes). The comparator and the
-   input permutation match the reference fitter's root-node sort, so the
-   presorted columns are bit-compatible with it. *)
-let presort (xs : float array array) ~n ~nfeat =
-  Array.init nfeat (fun f ->
-      let a = Array.init n (fun i -> i) in
-      Array.sort (fun i j -> Float.compare xs.(i).(f) xs.(j).(f)) a;
-      a)
-
-(* Boost [n_new] trees onto [residual] (mutated in place), reusing the
-   per-fit presorted columns. *)
-let boost xs residual ~cols ~mark ~params ~shrinkage ~n_new =
-  let trees = ref [] in
+(* Boost [n_new] trees onto [residual] (mutated in place). *)
+let boost xs residual ~params ~shrinkage ~n_new =
+  let ws = workspace xs in
   let n = Array.length xs in
-  let idx = Array.init n (fun i -> i) in
+  let trees = ref [] in
   for _ = 1 to n_new do
-    let tree = fit_tree_sorted xs residual ~idx ~cols ~depth:0 ~params ~mark in
+    Array.iteri (fun f c -> Array.blit c 0 ws.cols.(f) 0 n) ws.sorted;
+    for s = 0 to n - 1 do
+      ws.sq.(s) <- residual.(s) ** 2.0
+    done;
+    let tree =
+      grow ws residual ~idx:ws.ident ~lo:0 ~hi:n ~depth:0 ~params
+    in
     trees := tree :: !trees;
     Array.iteri
       (fun i _ ->
@@ -295,14 +345,10 @@ let fit ?(params = default_params) (xs : float array array) (ys : float array)
   if Array.length xs = 0 then
     { base = 0.0; trees = []; shrinkage = params.learning_rate; flats = [||] }
   else begin
-    let n = Array.length xs in
-    let nfeat = Array.length xs.(0) in
-    let base = mean ys (Array.init n (fun i -> i)) in
+    let base = mean ys (Array.init (Array.length xs) Fun.id) in
     let residual = Array.map (fun y -> y -. base) ys in
-    let cols = presort xs ~n ~nfeat in
-    let mark = Array.make n false in
     let trees =
-      boost xs residual ~cols ~mark ~params ~shrinkage:params.learning_rate
+      boost xs residual ~params ~shrinkage:params.learning_rate
         ~n_new:params.n_trees
     in
     {
@@ -330,14 +376,10 @@ let refit ?(params = default_params) ?extra_trees (t : t)
   in
   if Array.length xs = 0 || n_new = 0 then t
   else begin
-    let n = Array.length xs in
-    let nfeat = Array.length xs.(0) in
-    let residual = Array.init n (fun i -> ys.(i) -. predict t xs.(i)) in
-    let cols = presort xs ~n ~nfeat in
-    let mark = Array.make n false in
-    let trees =
-      boost xs residual ~cols ~mark ~params ~shrinkage:t.shrinkage ~n_new
+    let residual =
+      Array.init (Array.length xs) (fun i -> ys.(i) -. predict t xs.(i))
     in
+    let trees = boost xs residual ~params ~shrinkage:t.shrinkage ~n_new in
     {
       t with
       trees = t.trees @ trees;

@@ -14,24 +14,26 @@ val default_params : params
 
 val fit : ?params:params -> float array array -> float array -> t
 (** Squared-error boosting of depth-limited trees with shrinkage, using
-    the exact-greedy fitter: each feature column is argsorted once per fit
-    and sorted index partitions are threaded down the tree, so total sort
-    cost is O(d n log n) instead of per-node per-feature.
+    the exact-greedy fitter.  Once per fit the features are transposed
+    into columns and every column is argsorted; each tree then works in
+    one d×n workspace of those presorted columns, where a node owns the
+    segment [\[lo, hi)] of every column and splits it by a stable
+    in-place partition.  Total sort cost is O(d n log n) per fit, and
+    nothing is allocated per node beyond the tree itself.
 
-    {b Tie caveat.}  On {e tie-free} feature columns the trees are
+    {b Tie behaviour.}  On {e tie-free} feature columns the trees are
     bit-identical to {!fit_reference} (QCheck2-proven on continuous random
-    data, and asserted by [bench-tuner]'s tie-free oracle).  When a column
-    holds {e tied} values inside a node — the common case for real
-    schedule features, which are discrete knobs — the reference fitter's
-    unstable per-node [Array.sort] may permute a tied run differently than
-    this fitter's stable partition of the per-fit presort.  Split
-    {e sets} still agree exactly (a split never separates tied values, so
-    candidate thresholds and memberships are order-invariant), but the
-    prefix sums over a permuted tied run can round differently in the
-    last ulp, which can tip a near-tied gain comparison and yield a
-    different (equally optimal) tree.  [bench-tuner] therefore reports
-    [fitters_identical] on real tied feature data as a diagnostic only
-    and asserts equality on tie-free data; see DESIGN.md §10. *)
+    data at the tuner's width, d = 24, and asserted by [bench-tuner]'s
+    tie-free oracle).  When a column holds {e tied} values inside a node
+    — the common case for real schedule features, which are discrete
+    knobs — the reference fitter's unstable per-node [Array.sort] may
+    permute a tied run differently than this fitter, whose tie order is
+    inherited from the per-fit presort.  Split {e sets} still agree
+    exactly, but the prefix sums over a permuted tied run can round
+    differently in the last ulp, which can tip a near-tied gain
+    comparison and yield a different (equally optimal) tree.  On tied
+    data this fitter's trees are instead pinned by digest goldens taken
+    from the presort-and-allocate fitter it replaced; see DESIGN.md §10. *)
 
 val fit_reference : ?params:params -> float array array -> float array -> t
 (** The seed fitter (a fresh [Array.sort] per node per feature), kept as

@@ -1107,6 +1107,15 @@ let run ?(machine = Machine.intel_cpu) ?max_points ?fast ?engine
     }
   in
   let es = match engine with Some es -> es | None -> fresh_engine_stats () in
+  (* engine-stats snapshot for delta publication, taken before [compile]
+     counts this program's groups; [es] itself stands in when metrics are
+     off so the disabled path allocates nothing *)
+  let es0 =
+    if Alt_obs.Metrics.enabled () then
+      { fast_groups = es.fast_groups; scalar_groups = es.scalar_groups;
+        fast_runs = es.fast_runs; scalar_runs = es.scalar_runs }
+    else es
+  in
   let lb1 = machine.Machine.l1.Cache.line_bytes in
   let ctx =
     {
@@ -1138,14 +1147,6 @@ let run ?(machine = Machine.intel_cpu) ?max_points ?fast ?engine
     bufs;
   ctx.env <- Array.make (max 1 vm.next) 0;
   ctx.bases <- bases;
-  (* engine-stats snapshot for delta publication; [es] itself stands in
-     when metrics are off so the disabled path allocates nothing *)
-  let es0 =
-    if Alt_obs.Metrics.enabled () then
-      { fast_groups = es.fast_groups; scalar_groups = es.scalar_groups;
-        fast_runs = es.fast_runs; scalar_runs = es.scalar_runs }
-    else es
-  in
   (* the span wraps the whole interpretation; attrs are only built when a
      trace sink is installed, so the default path allocates nothing *)
   if Alt_obs.Trace.enabled () then

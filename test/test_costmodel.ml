@@ -1,6 +1,7 @@
 (* Cost-model unit tests: the exact-greedy GBDT fitter against the seed
-   (per-node re-sorting) fitter, batched prediction, warm-start boosting,
-   and the tuner-side lowering/feature memo cache. *)
+   (per-node re-sorting) fitter on tie-free data and against pinned
+   digests on tied data, batched prediction, warm-start boosting, and the
+   tuner-side lowering/feature memo cache. *)
 
 module Ops = Alt_graph.Ops
 module Machine = Alt_machine.Machine
@@ -68,16 +69,21 @@ let test_split_determinism () =
     (Gbdt.equal (Gbdt.fit xs ys) (Gbdt.fit xs ys))
 
 (* The exact-greedy fitter reproduces the seed fitter bit-identically on
-   continuous (tie-free) data. *)
+   continuous (tie-free) data, at the tuner's feature width and across
+   the depth and leaf-size edges of the running split scan. *)
 let prop_old_new_equivalent =
   QCheck2.Test.make ~count:30 ~name:"exact-greedy == reference fitter"
-    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 20 150))
-    (fun (seed, n) ->
-      let xs, ys = continuous_data ~seed ~n ~d:5 in
-      Gbdt.equal (Gbdt.fit xs ys) (Gbdt.fit_reference xs ys))
+    QCheck2.Gen.(
+      quad (int_range 0 10_000) (int_range 2 600) (int_range 1 6)
+        (int_range 1 6))
+    (fun (seed, n, max_depth, min_samples) ->
+      let params = { Gbdt.default_params with max_depth; min_samples } in
+      let xs, ys = continuous_data ~seed ~n ~d:24 in
+      Gbdt.equal (Gbdt.fit ~params xs ys) (Gbdt.fit_reference ~params xs ys))
 
 (* Tie goldens.  Digests of [fit] and [refit] models on tied data, pinned
-   from the presort-and-allocate fitter.  [fit_reference] re-sorts tied runs unstably, so it is no
+   from the presort-and-allocate fitter that preceded the workspace
+   fitter.  [fit_reference] re-sorts tied runs unstably, so it is no
    oracle on tied columns; these goldens carry the earlier fitter's exact
    trees instead.  Each case is (seed, n, max_depth, min_samples,
    n_trees); the refit model boosts [extra_trees = n_trees / 2 + 1] onto a

@@ -13,6 +13,8 @@ module Schedule = Alt_ir.Schedule
 module Ops = Alt_graph.Ops
 module Propagate = Alt_graph.Propagate
 module Machine = Alt_machine.Machine
+module Profiler = Alt_machine.Profiler
+module Runtime = Alt_machine.Runtime
 module Fault = Alt_faults.Fault
 module Pool = Alt_parallel.Pool
 module Json = Alt_obs.Json
@@ -476,6 +478,56 @@ let test_pool_counters_ground_truth () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Profiler engine counters against ground truth                      *)
+(* ------------------------------------------------------------------ *)
+
+let engine_counts (es : Profiler.engine_stats) =
+  [ es.Profiler.fast_groups; es.Profiler.scalar_groups;
+    es.Profiler.fast_runs; es.Profiler.scalar_runs ]
+
+let published_engine_counts () =
+  List.map
+    (fun name -> Metrics.counter_value (Metrics.counter name))
+    [ "profiler.fast_groups"; "profiler.scalar_groups";
+      "profiler.fast_loop_runs"; "profiler.scalar_loop_runs" ]
+
+(* A metered [Profiler.run] publishes exactly the delta of the engine
+   stats it was handed — the groups [compile] counts included — on both
+   engines and on a stats record that already holds earlier runs. *)
+let test_profiler_counters_ground_truth () =
+  let op = tiny_c2d () in
+  let task = make_task op in
+  let sched =
+    let s = Schedule.default ~rank:4 ~nred:3 in
+    let s = Schedule.split s ~dim:3 ~inner:4 in
+    Schedule.vectorize (Schedule.reorder_reduce_outer s true)
+  in
+  let prog =
+    Option.get
+      (Measure.program_of task (Templates.channels_last_choice op) sched)
+  in
+  let es = Profiler.fresh_engine_stats () in
+  with_metrics (fun () ->
+      List.iter
+        (fun fast ->
+          Metrics.reset ();
+          let before = engine_counts es in
+          let bufs = Runtime.alloc_bufs prog ~inputs:task.Measure.feeds in
+          ignore
+            (Profiler.run ~machine:task.Measure.machine ~fast ~engine:es prog
+               ~bufs
+              : Profiler.result);
+          let delta = List.map2 ( - ) (engine_counts es) before in
+          let what = if fast then "fast" else "scalar" in
+          Alcotest.(check (list int))
+            (what ^ ": published = engine-stats delta") delta
+            (published_engine_counts ());
+          Alcotest.(check bool)
+            (what ^ ": groups counted") true
+            (List.nth delta 0 + List.nth delta 1 > 0))
+        [ true; false; true ])
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoint robustness                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -738,6 +790,11 @@ let () =
             test_pool_exception_in_last_task;
           Alcotest.test_case "counters match ground truth" `Quick
             test_pool_counters_ground_truth;
+        ] );
+      ( "profiler-counters",
+        [
+          Alcotest.test_case "published = engine-stats delta" `Quick
+            test_profiler_counters_ground_truth;
         ] );
       ( "checkpoint-robustness",
         [
