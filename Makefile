@@ -4,8 +4,8 @@
 # scale by default, or full); their *-smoke variants write under _build/
 # so they never overwrite the committed perf trajectory.
 .PHONY: all check test bench bench-profiler bench-profiler-smoke \
-	bench-tuner bench-tuner-smoke fault-smoke obs-smoke exec-smoke \
-	serve-smoke relation-smoke bench-crossval bench-crossval-smoke \
+	bench-tuner bench-tuner-smoke fault-smoke obs-smoke model-smoke \
+	exec-smoke serve-smoke relation-smoke bench-crossval bench-crossval-smoke \
 	bench-exec bench-exec-smoke bench-e2e bench-e2e-smoke perfbench-smoke clean
 
 all:
@@ -53,6 +53,17 @@ obs-smoke:
 	dune exec bin/alt_cli.exe -- obs-validate \
 	  --trace _build/obs_smoke.trace.jsonl \
 	  --metrics _build/obs_smoke.metrics.json
+
+# Model-tuning gate: tune-model runs BERT-tiny through the task
+# scheduler (every task a Tuner.Step fiber) and must emit a trace and a
+# metrics snapshot that obs-validate accepts.
+model-smoke:
+	dune exec bin/alt_cli.exe -- tune-model --model bt --budget 96 --seed 1 \
+	  --jobs 2 --trace _build/model_smoke.trace.jsonl \
+	  --metrics _build/model_smoke.metrics.json
+	dune exec bin/alt_cli.exe -- obs-validate \
+	  --trace _build/model_smoke.trace.jsonl \
+	  --metrics _build/model_smoke.metrics.json
 
 # Serve gate: a pipe-mode daemon must admit 3 concurrent sessions, shed
 # the overflow with structured rejections, survive an injected crash
@@ -122,8 +133,8 @@ perfbench-smoke:
 	  --trace 0
 
 check: all test relation-smoke bench-profiler-smoke bench-tuner-smoke \
-	fault-smoke obs-smoke exec-smoke serve-smoke bench-crossval-smoke \
-	bench-exec-smoke bench-e2e-smoke perfbench-smoke
+	fault-smoke obs-smoke model-smoke exec-smoke serve-smoke \
+	bench-crossval-smoke bench-exec-smoke bench-e2e-smoke perfbench-smoke
 
 # quick-scale regeneration of the paper's tables and figures
 bench:

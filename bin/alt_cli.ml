@@ -399,11 +399,11 @@ let scheduler_arg =
         ~doc:
           "Trial allocation policy: gradient (expected-gain with \
            ε-round-robin heartbeat), roundrobin, or static (the fixed \
-           per-task split).  Without it, tune-model keeps the legacy \
-           sequential path.")
+           per-task split).  tune-model defaults to static, schedule \
+           to gradient.")
 
 let tune_model_cmd =
-  let run machine budget seed jobs model batch system scheduler fault_rate
+  let run machine budget seed jobs model batch system policy fault_rate
       fault_seed retries fast backend_sel exec_warmup exec_repeats
       exec_domains warm_start trace metrics =
     setup_logs ();
@@ -420,7 +420,7 @@ let tune_model_cmd =
       Machine.pp machine budget;
     let tg =
       Graph_tuner.tune_graph ~seed ~jobs ~faults ~retries ~fast ~backend
-        ~warm_start ?scheduler ~system ~machine ~budget spec.Zoo.graph
+        ~warm_start ?policy ~system ~machine ~budget spec.Zoo.graph
     in
     let r = Graph_tuner.run tg ~machine in
     Fmt.pr "end-to-end latency: %.4f ms@." r.Compile.latency_ms;

@@ -67,7 +67,6 @@ module Graph_tuner = Alt_tuner.Graph_tuner
 module Workload = Alt_serve.Workload
 module Proto = Alt_serve.Proto
 module Store = Alt_serve.Store
-module Session = Alt_serve.Session
 module Serve = Alt_serve.Serve
 module Daemon = Alt_serve.Daemon
 
@@ -94,14 +93,14 @@ let tune_operator ?(machine = Machine.intel_cpu) ?(budget = 200)
     ~loop_budget:(budget * 7 / 10)
     task
 
-(** Tune and compile an end-to-end model.  [scheduler] routes the tuning
-    through the gradient task scheduler (DESIGN.md §14) instead of the
-    default fixed per-task budget split. *)
+(** Tune and compile an end-to-end model.  [policy] is the task
+    scheduler's trial-allocation policy (DESIGN.md §14); the default,
+    [Static], gives every unique task the same fixed slice of [budget]. *)
 let compile_model ?(system = Graph_tuner.Galt) ?(machine = Machine.intel_cpu)
     ?(budget = 400) ?max_points ?seed ?jobs ?levels ?faults ?retries
-    ?backend ?warm_start ?scheduler (g : Graph.t) : Graph_tuner.tuned_graph =
+    ?backend ?warm_start ?policy (g : Graph.t) : Graph_tuner.tuned_graph =
   Graph_tuner.tune_graph ?seed ?jobs ?levels ?max_points ?faults ?retries
-    ?backend ?warm_start ?scheduler ~system ~machine ~budget g
+    ?backend ?warm_start ?policy ~system ~machine ~budget g
 
 (** Tune a whole zoo of named models under one global trial budget with
     the gradient task scheduler (DESIGN.md §14), sharing tuning runs and

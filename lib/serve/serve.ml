@@ -5,16 +5,17 @@
 
    Scheduling model.  Each admitted tune request is a session keyed by
    its spec's canonical digest (duplicate submissions attach to the
-   running session).  Sessions run as effect fibers (Session) that yield
+   running session).  Sessions run as Tuner.Step effect fibers that yield
    after every measurement round; [step] pops the next session off a
    round-robin queue, advances it by one round, and either re-queues it,
-   completes it, or aborts it on deadline.  At most [max_active]
-   sessions are interleaved; further admissions wait in a bounded FIFO,
-   and beyond that requests are shed with a structured rejection
-   carrying a retry hint — overload degrades the new arrivals, never the
-   admitted sessions.  The whole schedule is a pure function of the
-   submission order, so N concurrent sessions produce byte-identical
-   per-session results to N solo runs.
+   completes it, or aborts it on deadline (Tuner.Step.abort injects an
+   exception at the suspension point, so the tuner's finalizers run).
+   At most [max_active] sessions are interleaved; further admissions
+   wait in a bounded FIFO, and beyond that requests are shed with a
+   structured rejection carrying a retry hint — overload degrades the new
+   arrivals, never the admitted sessions.  The whole schedule is a pure
+   function of the submission order, so N concurrent sessions produce
+   byte-identical per-session results to N solo runs.
 
    Durability.  With a journal directory, admission atomically writes
    [<skey>.req.json] (the request plus every attached id) and the tuner
@@ -64,7 +65,10 @@ let default_config ?(jobs = 1) ?(max_active = 4) ?(max_queue = 8)
     default_deadline_rounds;
   }
 
-type sstate = Unstarted | Paused of Session.paused
+(* Injected into a paused session fiber by graceful shutdown (the session
+   stays resumable from its checkpoint) and by deadline expiry. *)
+exception Interrupted
+exception Deadline_exceeded
 
 type session = {
   skey : string;
@@ -72,7 +76,7 @@ type session = {
   mutable ids : string list; (* request ids awaiting this session *)
   deadline : int option; (* rounds granted in this daemon run *)
   mutable stepped : int; (* rounds taken in this daemon run *)
-  mutable state : sstate;
+  fiber : Tuner.Step.t; (* runs nothing until its first step *)
 }
 
 type t = {
@@ -204,33 +208,38 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* The tuning thunk a session fiber runs.  Resume is attempted first; a
-   corrupt or version/fingerprint-mismatched checkpoint is parked as
-   [.bad] and the session restarts fresh — robustness over a stale
-   journal must never wedge recovery. *)
-let make_thunk t (s : session) () : Tuner.result =
-  let shared = Store.view t.cfg.store ~ctx:(Workload.context_key s.spec) in
-  let build ?resume () =
-    let task = Workload.task_of_spec ~shared s.spec in
-    Tuner.tune_op ~seed:s.spec.Workload.seed ~pool:t.cfg.pool
-      ?checkpoint:(ckpt_path t s.skey) ?resume
-      ~on_round:(fun r -> Session.yield r)
-      ~system:(Workload.system_of_spec s.spec)
-      ~budget:s.spec.Workload.budget task
+(* A session: its tuning run as a fiber that yields after every round
+   (the tuner's [on_progress] fires after the round's checkpoint is
+   written, so every suspension point is durable).  Resume is attempted
+   first; a corrupt or version/fingerprint-mismatched checkpoint is
+   parked as [.bad] and the session restarts fresh — robustness over a
+   stale journal must never wedge recovery. *)
+let new_session t ~skey ~(spec : Workload.tune_spec) ~ids ~deadline : session
+    =
+  let run ~stop ~on_progress =
+    let shared = Store.view t.cfg.store ~ctx:(Workload.context_key spec) in
+    let build ?resume () =
+      let task = Workload.task_of_spec ~shared spec in
+      Tuner.tune_op ~seed:spec.Workload.seed ~pool:t.cfg.pool
+        ?checkpoint:(ckpt_path t skey) ?resume ~stop ~on_progress
+        ~system:(Workload.system_of_spec spec)
+        ~budget:spec.Workload.budget task
+    in
+    match ckpt_path t skey with
+    | None -> build ()
+    | Some path -> (
+        try build ~resume:path ()
+        with (Failure msg | Invalid_argument msg)
+             when contains_sub msg "checkpoint" ->
+          Log.warn (fun m ->
+              m "session %s: unusable checkpoint (%s); restarting fresh" skey
+                msg);
+          (try Sys.rename path (path ^ ".bad") with Sys_error _ -> ());
+          (* the file is gone now, so resuming from the same path is a
+             fresh start that re-creates the journal *)
+          build ~resume:path ())
   in
-  match ckpt_path t s.skey with
-  | None -> build ()
-  | Some path -> (
-      try build ~resume:path ()
-      with (Failure msg | Invalid_argument msg)
-           when contains_sub msg "checkpoint" ->
-        Log.warn (fun m ->
-            m "session %s: unusable checkpoint (%s); restarting fresh" s.skey
-              msg);
-        (try Sys.rename path (path ^ ".bad") with Sys_error _ -> ());
-        (* the file is gone now, so resuming from the same path is a
-           fresh start that re-creates the journal *)
-        build ~resume:path ())
+  { skey; spec; ids; deadline; stepped = 0; fiber = Tuner.Step.start run }
 
 let promote t =
   while Queue.length t.active < t.cfg.max_active
@@ -260,9 +269,7 @@ let admit t ~id ~(spec : Workload.tune_spec) ~deadline_rounds :
         | Some _ as d -> d
         | None -> t.cfg.default_deadline_rounds
       in
-      let s =
-        { skey; spec; ids = [ id ]; deadline; stepped = 0; state = Unstarted }
-      in
+      let s = new_session t ~skey ~spec ~ids:[ id ] ~deadline in
       if Queue.length t.active < t.cfg.max_active then begin
         Hashtbl.replace t.sessions skey s;
         Queue.push s t.active;
@@ -396,13 +403,17 @@ let step t : (string * Json.t) list =
   if Queue.is_empty t.active then []
   else begin
     let s = Queue.pop t.active in
-    let stepped =
-      match s.state with
-      | Unstarted -> Session.start (make_thunk t s)
-      | Paused p -> p.resume ()
+    let fail reason =
+      t.errored <- t.errored + 1;
+      respond_each s (fun id -> Proto.error_response ~id ~reason)
     in
-    match stepped with
-    | Session.Yielded (_, p) -> (
+    let complete r =
+      t.completed <- t.completed + 1;
+      remove_file (ckpt_path t s.skey);
+      respond_each s (ok_response s.skey (json_of_tuner_result r))
+    in
+    match Tuner.Step.step s.fiber with
+    | Tuner.Step.Running _ -> (
         t.rounds_stepped <- t.rounds_stepped + 1;
         s.stepped <- s.stepped + 1;
         match s.deadline with
@@ -410,11 +421,15 @@ let step t : (string * Json.t) list =
             (* deadline: abort at the (already checkpointed) yield
                point; the checkpoint survives, so resubmission resumes
                instead of starting over *)
-            let aborted = p.abort Session.Deadline_exceeded in
+            let aborted =
+              match Tuner.Step.abort s.fiber Deadline_exceeded with
+              | st -> Ok st
+              | exception e -> Error e
+            in
             finish_session t s;
             remove_file (req_path t s.skey);
             match aborted with
-            | Session.Raised Session.Deadline_exceeded ->
+            | Error Deadline_exceeded ->
                 respond_each s
                   (status_response s.skey "deadline"
                      ~extra:
@@ -422,42 +437,29 @@ let step t : (string * Json.t) list =
                          ("rounds", Json.Int s.stepped);
                          ("resumable", Json.Bool true);
                        ])
-            | Session.Raised e ->
-                t.errored <- t.errored + 1;
-                respond_each s (fun id ->
-                    Proto.error_response ~id ~reason:(Printexc.to_string e))
-            | Session.Finished r ->
+            | Error e -> fail (Printexc.to_string e)
+            | Ok (Tuner.Step.Done r) ->
                 (* the abort landed after the tuner's last round: the
                    run is complete, report it as such *)
-                t.completed <- t.completed + 1;
-                remove_file (ckpt_path t s.skey);
-                respond_each s (ok_response s.skey (json_of_tuner_result r))
-            | Session.Yielded _ ->
-                t.errored <- t.errored + 1;
-                respond_each s (fun id ->
-                    Proto.error_response ~id
-                      ~reason:"session yielded through an abort"))
+                complete r
+            | Ok (Tuner.Step.Running _) ->
+                fail "session yielded through an abort")
         | _ ->
-            s.state <- Paused p;
             Queue.push s t.active;
             [])
-    | Session.Finished r ->
-        t.completed <- t.completed + 1;
+    | Tuner.Step.Done r ->
         finish_session t s;
         remove_file (req_path t s.skey);
-        remove_file (ckpt_path t s.skey);
-        respond_each s (ok_response s.skey (json_of_tuner_result r))
-    | Session.Raised e ->
+        complete r
+    | exception e ->
         (* a genuine failure: answer every attached id with the error
            and drop the request journal so recovery does not crash-loop;
            the checkpoint is kept for post-mortem resume *)
-        t.errored <- t.errored + 1;
         finish_session t s;
         remove_file (req_path t s.skey);
         Log.err (fun m ->
             m "session %s failed: %s" s.skey (Printexc.to_string e));
-        respond_each s (fun id ->
-            Proto.error_response ~id ~reason:(Printexc.to_string e))
+        fail (Printexc.to_string e)
   end
 
 (* Graceful shutdown: abort every in-flight fiber at its last durable
@@ -468,16 +470,12 @@ let step t : (string * Json.t) list =
 let shutdown t : (string * Json.t) list =
   let out = ref [] in
   let close (s : session) =
-    (match s.state with
-    | Paused p -> (
-        match p.abort Session.Interrupted with
-        | Session.Raised Session.Interrupted -> ()
-        | Session.Raised e ->
-            Log.warn (fun m ->
-                m "session %s raised during shutdown: %s" s.skey
-                  (Printexc.to_string e))
-        | Session.Finished _ | Session.Yielded _ -> ())
-    | Unstarted -> ());
+    (match Tuner.Step.abort s.fiber Interrupted with
+    | _ | (exception Interrupted) -> ()
+    | exception e ->
+        Log.warn (fun m ->
+            m "session %s raised during shutdown: %s" s.skey
+              (Printexc.to_string e)));
     out :=
       !out
       @ respond_each s
@@ -555,16 +553,7 @@ let recover t : int =
               let skey = Workload.session_key spec in
               if not (Hashtbl.mem t.sessions skey) then begin
                 let ids = if ids = [] then [ "recovered" ] else ids in
-                let s =
-                  {
-                    skey;
-                    spec;
-                    ids;
-                    deadline;
-                    stepped = 0;
-                    state = Unstarted;
-                  }
-                in
+                let s = new_session t ~skey ~spec ~ids ~deadline in
                 Hashtbl.replace t.sessions skey s;
                 if Queue.length t.active < t.cfg.max_active then
                   Queue.push s t.active

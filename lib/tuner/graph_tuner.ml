@@ -1,18 +1,18 @@
 (* End-to-end graph tuning (paper Sections 6 and 7.2).
 
-   The joint stage tunes each complex operator sequentially in topological
-   order; identical tasks (same operator signature) are deduplicated and
-   share one tuning run, and the total measurement budget is split across
-   the unique tasks.  Each task is tuned *together with* the elementwise
-   chain that will be fused after it, so fusion conflicts are visible to
-   the tuner.  The resulting per-operator layout choices are propagated
-   (Algorithm 1), conversions are inserted where the constraints demand,
-   and the compiled graph is executed for the end-to-end latency.
+   Identical tasks (same operator signature) are deduplicated and share
+   one tuning run (Taskset).  Each task is tuned *together with* the
+   elementwise chain that will be fused after it, so fusion conflicts are
+   visible to the tuner.  The resulting per-operator layout choices are
+   propagated (Algorithm 1), conversions are inserted where the
+   constraints demand, and the compiled graph is executed for the
+   end-to-end latency.
 
-   Task extraction/dedup lives in Taskset; the fixed per-task budget split
-   is the [Scheduler.Static] policy, and [tune_models] runs a whole zoo of
-   graphs under one global budget with any scheduling policy
-   (DESIGN.md §14). *)
+   Every tune runs through one path: [tune_models] hands the unique
+   tasks of a zoo to the Scheduler, which steps each task's tuner as a
+   Tuner.Step fiber under one global budget (DESIGN.md §14).
+   [tune_graph] is the one-model case under the [Static] policy by
+   default — the paper's fixed per-task split in first-seen order. *)
 
 module Shape = Alt_tensor.Shape
 module Layout = Alt_tensor.Layout
@@ -104,9 +104,9 @@ let assemble ~(system : gsystem) ~(results : (string * Tuner.result) list)
 
 (* The per-system tuner factory handed to the scheduler.  The phase split
    is derived from [share] (the static per-task slice), so the Static
-   policy reproduces the legacy sequential split exactly; the gradient
-   surplus [total - share] extends the final loop-only phase, where extra
-   trials refine the already-chosen layout. *)
+   policy runs the paper's fixed per-task split; the gradient surplus
+   [total - share] extends the final loop-only phase, where extra trials
+   refine the already-chosen layout. *)
 let tuner_factory ~seed ~levels ?warm_start ~(machine : Machine.t)
     ~(system : gsystem) : Scheduler.make_tuner =
  fun ~pool ~share ~total ~transfer ~stop ~on_progress task ->
@@ -141,7 +141,7 @@ let tuner_factory ~seed ~levels ?warm_start ~(machine : Machine.t)
    assemble every model from the shared task results. *)
 let tune_models ?(seed = 0) ?(jobs = 1) ?(levels = 1) ?(max_points = 30_000)
     ?faults ?retries ?fast ?memo ?backend ?warm_start ?transfer
-    ?epsilon_period ?slope_window ?(policy = Scheduler.Gradient)
+    ?(policy = Scheduler.Gradient)
     ~(system : gsystem) ~(machine : Machine.t) ~(budget : int)
     (graphs : (string * Graph.t) list) :
     Scheduler.report * (string * tuned_graph) list =
@@ -158,8 +158,8 @@ let tune_models ?(seed = 0) ?(jobs = 1) ?(levels = 1) ?(max_points = 30_000)
   in
   let make_tuner = tuner_factory ~seed ~levels ?warm_start ~machine ~system in
   let report =
-    Scheduler.tune_models ~jobs ?transfer ?epsilon_period ?slope_window
-      ~policy ~make_task ~make_tuner ~budget graphs
+    Scheduler.tune_models ~jobs ?transfer ~policy ~make_task ~make_tuner
+      ~budget graphs
   in
   let results =
     List.map
@@ -169,90 +169,16 @@ let tune_models ?(seed = 0) ?(jobs = 1) ?(levels = 1) ?(max_points = 30_000)
   in
   (report, List.map (fun (name, g) -> (name, assemble ~system ~results g)) graphs)
 
-let tune_graph ?(seed = 0) ?(jobs = 1) ?(levels = 1) ?(max_points = 30_000)
-    ?faults ?retries ?fast ?memo ?backend ?warm_start ?scheduler
-    ~(system : gsystem) ~(machine : Machine.t) ~(budget : int) (g : Graph.t) :
-    tuned_graph =
-  match scheduler with
-  | Some policy ->
-      let _, tuned =
-        tune_models ~seed ~jobs ~levels ~max_points ?faults ?retries ?fast
-          ?memo ?backend ?warm_start ~policy ~system ~machine ~budget
-          [ ("model", g) ]
-      in
-      snd (List.hd tuned)
-  | None ->
-      (* the legacy sequential path: fixed per-task split, first-seen task
-         order, one tuner run per unique task — kept verbatim as the
-         default so existing trajectories are untouched *)
-      Alt_obs.Trace.with_span "graph_tuner.tune_graph" @@ fun () ->
-      let entries = Taskset.of_graph g in
-      let per_task_budget = max 8 (budget / max 1 (List.length entries)) in
-      (* propagation mode: ALT-WP loses fusion, so tune without the chain *)
-      let mode = propagate_mode system in
-      let tuned = ref [] in
-      List.iter
-        (fun (e : Taskset.entry) ->
-          let node = e.Taskset.node and chain = e.Taskset.chain in
-          let fused_ops =
-            match mode with
-            | Propagate.Adjacent | Propagate.Off -> []
-            | Propagate.Full ->
-                List.map (fun (c : Graph.node) -> c.Graph.op) chain
-          in
-          let task =
-            Measure.make_task ~fused:fused_ops ~max_points ?faults ?retries
-              ?fast ?memo ?backend ~machine node.Graph.op
-          in
-          let tune_task () =
-            match system with
-            | Gvendor ->
-                Tuner.tune_op ~seed ~jobs ~system:Tuner.Vendor
-                  ~budget:per_task_budget task
-            | Gautotvm ->
-                (* NeoCPU-style: fixed blocked layout, restricted loops *)
-                Tuner.tune_loop_only ~seed ~jobs ?warm_start
-                  ~explorer:Tuner.Restricted ~budget:per_task_budget
-                  ~layouts:
-                    [
-                      Templates.blocked_choice node.Graph.op
-                        ~block:(2 * machine.Machine.lanes);
-                    ]
-                  task
-            | Gansor ->
-                Tuner.tune_loop_only ~seed ~jobs ?warm_start
-                  ~explorer:Tuner.Guided ~budget:per_task_budget
-                  ~layouts:
-                    [
-                      Templates.blocked_choice node.Graph.op
-                        ~block:(2 * machine.Machine.lanes);
-                    ]
-                  task
-            | Galt_ol ->
-                Tuner.tune_loop_only ~seed ~jobs ?warm_start
-                  ~explorer:Tuner.Guided ~budget:per_task_budget
-                  ~layouts:[ Templates.channels_last_choice node.Graph.op ]
-                  task
-            | Galt | Galt_wp ->
-                Tuner.tune_alt ~seed ~jobs ~levels ?warm_start
-                  ~joint_budget:(per_task_budget * 4 / 10)
-                  ~loop_budget:(per_task_budget * 6 / 10)
-                  task
-          in
-          let r =
-            if Alt_obs.Trace.enabled () then
-              Alt_obs.Trace.with_span "graph_tuner.task"
-                ~attrs:
-                  [ ("signature", Alt_obs.Json.String e.Taskset.signature) ]
-                tune_task
-            else tune_task ()
-          in
-          (* fold the finished task's stats into the metrics registry; the
-             CLI and the metrics file then report totals across all tasks *)
-          Measure.publish_obs task;
-          tuned := (e.Taskset.signature, r) :: !tuned)
-        entries;
-      assemble ~system ~results:(List.rev !tuned) g
+(* A single graph is a one-model zoo; [Static] gives every unique task
+   its fixed slice of [budget] in first-seen order. *)
+let tune_graph ?seed ?jobs ?levels ?max_points ?faults ?retries ?fast ?memo
+    ?backend ?warm_start ?(policy = Scheduler.Static) ~(system : gsystem)
+    ~(machine : Machine.t) ~(budget : int) (g : Graph.t) : tuned_graph =
+  let _, tuned =
+    tune_models ?seed ?jobs ?levels ?max_points ?faults ?retries ?fast ?memo
+      ?backend ?warm_start ~policy ~system ~machine ~budget [ ("model", g) ]
+  in
+  snd (List.hd tuned)
 
 (* Run the tuned graph end to end on the machine model. *)
 let run ?(max_points = 60_000) ?(seed = 5) (tg : tuned_graph)

@@ -1,6 +1,6 @@
-(** End-to-end graph tuning (Sections 6 and 7.2): per-complex-operator
-    tuning in topological order with task deduplication and budget
-    splitting, then propagation (Algorithm 1), compilation and execution. *)
+(** End-to-end graph tuning (Sections 6 and 7.2): task deduplication,
+    per-task tuning through {!Scheduler} (every task a {!Tuner.Step}
+    fiber), then propagation (Algorithm 1), compilation and execution. *)
 
 module Schedule = Alt_ir.Schedule
 module Machine = Alt_machine.Machine
@@ -33,7 +33,7 @@ val tune_graph :
   ?seed:int -> ?jobs:int -> ?levels:int -> ?max_points:int ->
   ?faults:Alt_faults.Fault.t -> ?retries:int -> ?fast:bool -> ?memo:bool ->
   ?backend:Alt_machine.Runtime.backend ->
-  ?warm_start:bool -> ?scheduler:Scheduler.policy ->
+  ?warm_start:bool -> ?policy:Scheduler.policy ->
   system:gsystem -> machine:Machine.t -> budget:int ->
   Graph.t -> tuned_graph
 (** [jobs] bounds the domains used for concurrent measurements per tuning
@@ -46,24 +46,22 @@ val tune_graph :
     {!Measure.make_task}).  [warm_start] keeps each task's cost model
     across batches
     (off by default; changes trajectories — see {!Tuner.tune_alt}).
-    [scheduler] routes the tuning through {!Scheduler.tune_models} with
-    the given policy instead of the legacy sequential fixed-split loop
-    (the default, whose trajectories are untouched). *)
+    The graph is tuned as a one-model zoo by {!tune_models} under
+    [policy] (default [Static]: each unique task gets
+    [max 8 (budget / tasks)] trials, in first-seen order). *)
 
 val tune_models :
   ?seed:int -> ?jobs:int -> ?levels:int -> ?max_points:int ->
   ?faults:Alt_faults.Fault.t -> ?retries:int -> ?fast:bool -> ?memo:bool ->
   ?backend:Alt_machine.Runtime.backend -> ?warm_start:bool ->
-  ?transfer:bool -> ?epsilon_period:int -> ?slope_window:int ->
-  ?policy:Scheduler.policy ->
+  ?transfer:bool -> ?policy:Scheduler.policy ->
   system:gsystem -> machine:Machine.t -> budget:int ->
   (string * Graph.t) list -> Scheduler.report * (string * tuned_graph) list
 (** Tune a zoo of named graphs under one global [budget] (DESIGN.md §14):
     tasks are deduplicated across all models ({!Taskset.of_graphs}), the
     scheduler ([policy], default [Gradient]) allocates trials round by
     round, and every model is assembled from the shared task results.
-    [transfer]/[epsilon_period]/[slope_window] are forwarded to
-    {!Scheduler.tune_models}. *)
+    [transfer] is forwarded to {!Scheduler.tune_models}. *)
 
 val assemble :
   system:gsystem -> results:(string * Tuner.result) list -> Graph.t ->

@@ -7,14 +7,15 @@
 
    - Static: run the fibers to completion in first-seen order, each capped
      at its static per-task share — the paper's fixed budget split, and
-     byte-identical to Graph_tuner's sequential per-task loop;
+     the default of Graph_tuner.tune_graph;
    - Roundrobin: step the least-recently-picked unfinished fiber;
    - Gradient: Ansor-style expected-gain allocation.  A task's weight is
      its zoo latency share (occurrence count x best-so-far latency) times
-     the recent improvement slope of its own trajectory; every
-     [epsilon_period]-th pick instead goes to the least-recently-picked
-     task, so every task keeps a round-robin heartbeat (starvation
-     freedom) and a plateaued estimate can still be revised.
+     the recent improvement slope of its own trajectory (over its last
+     [slope_rounds] = 5 rounds); every [heartbeat_period]-th (7th) pick
+     instead goes to the least-recently-picked task, so every task keeps
+     a round-robin heartbeat (starvation freedom) and a plateaued
+     estimate can still be revised.
 
    Every scheduling input — spent trials, rounds, best latencies — is a
    deterministic function of the simulated measurements, and no RNG is
@@ -56,9 +57,9 @@ type make_tuner =
   Tuner.result
 (* Builds and runs one task's tuner.  [share] is the task's static slice
    of the global budget (the phase split — e.g. ALT's joint stage — is
-   derived from it, so Static reproduces the legacy per-task split
-   exactly); [total] caps the fiber's own budget and exceeds [share]
-   under Gradient/Roundrobin so the scheduler may keep feeding a
+   derived from it, so Static runs the paper's fixed per-task split);
+   [total] caps the fiber's own budget and exceeds [share] under
+   Gradient/Roundrobin so the scheduler may keep feeding a
    well-improving task past its share. *)
 
 type task_report = {
@@ -99,6 +100,12 @@ type tstate = {
 
 let warmup_steps = 2
 
+(* every [heartbeat_period]-th Gradient pick is a round-robin heartbeat *)
+let heartbeat_period = 7
+
+(* a task's improvement slope spans its last [slope_rounds] rounds *)
+let slope_rounds = 5
+
 (* Improvement per trial over the task's recent own-step history, clamped
    at zero: the scheduler only ever rewards improvement.  A task whose
    window straddles the first finite measurement gets an infinite slope —
@@ -121,8 +128,7 @@ let m_eps_picks = Alt_obs.Metrics.counter "scheduler.eps_picks"
 let m_rounds = Alt_obs.Metrics.counter "scheduler.rounds"
 let g_tasks = Alt_obs.Metrics.gauge "scheduler.tasks"
 
-let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
-    ?(slope_window = 5) ~(policy : policy)
+let tune_models ?(jobs = 1) ?pool ?transfer ~(policy : policy)
     ~(make_task : Taskset.entry -> Measure.task)
     ~(make_tuner : make_tuner) ~(budget : int)
     (graphs : (string * Graph.t) list) : report =
@@ -253,7 +259,7 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
         match List.filter (fun i -> states.(i).steps < warmup_steps) run with
         | i :: _ -> i (* implicit warmup: every task measures first *)
         | [] ->
-            if !picks mod epsilon_period = 0 then begin
+            if !picks mod heartbeat_period = 0 then begin
               incr eps_picks;
               lru run
             end
@@ -266,8 +272,7 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
                 argmax zoo_share run)
   in
   (* a backstop against tasks whose rounds cannot charge budget (nothing
-     lowerable): the legacy sequential loop would spin exactly the same
-     way, but the global loop here is easy to bound deterministically *)
+     lowerable): the global loop is easy to bound deterministically *)
   let pick_cap = (budget * 8) + (n * 16) + 64 in
   let continue () =
     runnable () <> []
@@ -292,7 +297,7 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
         ts.best <- p.Tuner.best_latency;
         ts.hist <-
           List.filteri
-            (fun k _ -> k < slope_window)
+            (fun k _ -> k < slope_rounds)
             ((p.Tuner.spent, p.Tuner.best_latency) :: ts.hist));
     if Alt_obs.Trace.enabled () then
       Alt_obs.Trace.instant "scheduler.pick"

@@ -7,8 +7,9 @@
     round.  Under [Gradient], picks maximize expected end-to-end gain
     (zoo latency share x recent improvement slope) with an
     ε-round-robin heartbeat for starvation freedom; [Roundrobin] always
-    steps the least-recently-picked task; [Static] reproduces the
-    legacy fixed per-task budget split byte-for-byte.
+    steps the least-recently-picked task; [Static] runs the paper's
+    fixed per-task budget split, each task to completion in first-seen
+    order.
 
     No RNG is drawn and every scheduling input is a deterministic
     function of the simulated measurements, so trajectories are
@@ -34,8 +35,8 @@ type make_tuner =
 (** Builds and runs one task's tuner ({!Graph_tuner} supplies the
     per-system factory).  [share] is the task's static slice of the
     global budget — phase splits (e.g. ALT's joint stage) must be
-    derived from it so that [Static] reproduces the legacy per-task
-    split exactly; [total] caps the fiber's own budget and exceeds
+    derived from it so that [Static] runs the paper's fixed per-task
+    split; [total] caps the fiber's own budget and exceeds
     [share] under [Gradient]/[Roundrobin] so the scheduler may feed a
     well-improving task past its share. *)
 
@@ -68,8 +69,6 @@ val tune_models :
   ?jobs:int ->
   ?pool:Pool.t ->
   ?transfer:bool ->
-  ?epsilon_period:int ->
-  ?slope_window:int ->
   policy:policy ->
   make_task:(Taskset.entry -> Measure.task) ->
   make_tuner:make_tuner ->
@@ -77,9 +76,9 @@ val tune_models :
   (string * Graph.t) list ->
   report
 (** Tune a zoo of named graphs under one global [budget].  [transfer]
-    defaults to on under [Gradient] and off otherwise.  Every
-    [epsilon_period]-th pick (default 7) is a round-robin heartbeat;
-    the improvement slope is estimated over the last [slope_window]
-    (default 5) of the task's own rounds.  One shared measurement pool
+    defaults to on under [Gradient] and off otherwise.  Under
+    [Gradient], every 7th pick is a round-robin heartbeat and the
+    improvement slope is estimated over the last 5 of the task's own
+    rounds.  One shared measurement pool
     drives all fibers ([pool] wins over [jobs]); trajectories are
     byte-identical for every pool size. *)

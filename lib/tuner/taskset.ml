@@ -81,20 +81,6 @@ type entry = {
 let occurrences_total (e : entry) =
   List.fold_left (fun a (_, c) -> a + c) 0 e.occurrences
 
-let of_graph (g : Graph.t) : entry list =
-  let uniq : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (n : Graph.node) ->
-      let chain = fusable_chain g n in
-      let s = signature n.Graph.op (List.map (fun c -> c.Graph.op) chain) in
-      if not (Hashtbl.mem uniq s) then begin
-        Hashtbl.replace uniq s ();
-        order := { signature = s; node = n; chain; occurrences = [] } :: !order
-      end)
-    (Graph.complex_nodes g);
-  List.rev !order
-
 let of_graphs (graphs : (string * Graph.t) list) : entry list =
   (* first-seen order across the zoo; occurrence counts accumulated per
      model, model order within an entry following the zoo order *)

@@ -30,13 +30,10 @@ type entry = {
   chain : Graph.node list; (** its fusable elementwise chain *)
   occurrences : (string * int) list;
       (** model name -> how many nodes this task covers there, in zoo
-          order; an entry from a single-graph walk has an empty list *)
+          order *)
 }
 
 val occurrences_total : entry -> int
-
-val of_graph : Graph.t -> entry list
-(** Unique tasks of one graph, first-seen order ([occurrences] empty). *)
 
 val of_graphs : (string * Graph.t) list -> entry list
 (** Unique tasks across a zoo of named graphs, first-seen order, with

@@ -911,23 +911,27 @@ let tune_op ?(seed = 0) ?(jobs = 1) ?pool ?warm_start ?checkpoint ?resume
         task
 
 (* ------------------------------------------------------------------ *)
-(* Resumable stepping (scheduler)                                     *)
+(* Resumable stepping (scheduler and serve sessions)                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Runs a tuning entry point as a suspendable fiber — the same effect
-   shape as lib/serve/session.ml.  The tuner's [on_progress] hook performs
-   a [Yield] after every measurement round (checkpoint already on disk),
-   handing control back to the scheduler with a best-so-far snapshot; the
-   [stop] probe lets [finish] wind the fiber down cooperatively, so the
-   tuner's own finalization (fallback choices, history reversal, spans)
-   always runs and every step returns through the normal [result] path. *)
+(* Runs a tuning entry point as a suspendable fiber — the one effect
+   fiber behind both the Scheduler and the Serve daemon's sessions.  The
+   tuner's [on_progress] hook performs a [Yield] after every measurement
+   round (checkpoint already on disk), handing control back to the caller
+   with a best-so-far snapshot.  The [stop] probe lets [finish] wind the
+   fiber down cooperatively, so the tuner's own finalization (fallback
+   choices, history reversal, spans) always runs and every step returns
+   through the normal [result] path; [abort] instead injects an exception
+   at the suspension point, running the fiber's [Fun.protect] finalizers
+   on the way out.  An exception escaping the tuner is a terminal state:
+   the fiber is finished and every later [step] re-raises it. *)
 module Step = struct
   type _ Effect.t += Yield : progress -> unit Effect.t
 
   type status = Running of progress | Done of result
 
   type outcome = Finished of result | Yielded of progress * paused
-  and paused = { resume : unit -> outcome }
+  and paused = { resume : unit -> outcome; abort : exn -> outcome }
 
   let handler : (result, outcome) Effect.Deep.handler =
     {
@@ -940,12 +944,19 @@ module Step = struct
               Some
                 (fun (k : (a, outcome) Effect.Deep.continuation) ->
                   Yielded
-                    (p, { resume = (fun () -> Effect.Deep.continue k ()) }))
+                    ( p,
+                      {
+                        resume = (fun () -> Effect.Deep.continue k ());
+                        abort = (fun e -> Effect.Deep.discontinue k e);
+                      } ))
           | _ -> None);
     }
 
   type fiber =
-    [ `Init of unit -> outcome | `Paused of paused | `Done of result ]
+    [ `Init of unit -> outcome
+    | `Paused of paused
+    | `Done of result
+    | `Failed of exn ]
 
   type t = {
     stop_flag : bool ref;
@@ -967,23 +978,39 @@ module Step = struct
       last = { rounds = 0; spent = 0; best_latency = Float.infinity };
     }
 
+  (* [run] uses up the fiber's current continuation, so its outcome —
+     including an escaping exception — always replaces [t.fiber] *)
+  let advance (t : t) run : status =
+    match run () with
+    | Finished r ->
+        t.fiber <- `Done r;
+        Done r
+    | Yielded (p, k) ->
+        t.fiber <- `Paused k;
+        t.last <- p;
+        Running p
+    | exception e ->
+        t.fiber <- `Failed e;
+        raise e
+
   let step (t : t) : status =
-    let advance run =
-      match run () with
-      | Finished r ->
-          t.fiber <- `Done r;
-          Done r
-      | Yielded (p, k) ->
-          t.fiber <- `Paused k;
-          t.last <- p;
-          Running p
-    in
     match t.fiber with
     | `Done r -> Done r
-    | `Init f -> advance f
-    | `Paused k -> advance k.resume
+    | `Failed e -> raise e
+    | `Init f -> advance t f
+    | `Paused k -> advance t k.resume
 
-  let finished (t : t) = match t.fiber with `Done _ -> true | _ -> false
+  let abort (t : t) (e : exn) : status =
+    match t.fiber with
+    | `Done r -> Done r
+    | `Failed e0 -> raise e0
+    | `Init _ ->
+        t.fiber <- `Failed e;
+        raise e
+    | `Paused k -> advance t (fun () -> k.abort e)
+
+  let finished (t : t) =
+    match t.fiber with `Done _ | `Failed _ -> true | _ -> false
   let progress (t : t) = t.last
 
   let finish (t : t) : result =

@@ -135,9 +135,9 @@ val tune_op :
   ?transfer:transfer ->
   system:system -> budget:int -> Measure.task -> result
 
-(** Resumable stepping over any tuning entry point — the scheduler's
-    suspension primitive, the same effect-fiber shape as
-    [lib/serve/session.ml].  [start f] wraps the tuner thunk [f] (which
+(** Resumable stepping over any tuning entry point — the suspension
+    primitive of both the {!Scheduler} and the serve daemon's sessions.
+    [start f] wraps the tuner thunk [f] (which
     receives the [stop] probe and the [on_progress] hook to pass through);
     each [step] runs exactly one measurement round and pauses, returning
     the round's {!progress}; [finish] flips the stop probe and drives the
@@ -153,13 +153,26 @@ module Step : sig
     (stop:(unit -> bool) -> on_progress:(progress -> unit) -> result) -> t
 
   val step : t -> status
-  (** Run one more measurement round (or the final wind-down). *)
+  (** Run one more measurement round (or the final wind-down).  An
+      exception raised by the tuner escapes [step] and is terminal: the
+      fiber is {!finished} and every later [step]/[finish]/[abort]
+      re-raises the same exception. *)
 
   val finish : t -> result
   (** Stop cooperatively: no further rounds are measured; the fiber's own
       finalization runs and its result is returned.  Idempotent. *)
 
+  val abort : t -> exn -> status
+  (** [abort t e] raises [e] inside the paused fiber at its suspension
+      point: the tuner's [Fun.protect] finalizers run and, unless the
+      tuner handles [e], [e] escapes [abort] (terminally, as for
+      {!step}).  A tuner that handles [e] yields its next status.  On a
+      never-stepped fiber [e] is raised without running anything; on a
+      [Done] fiber [abort] is a no-op returning [Done]. *)
+
   val finished : t -> bool
+  (** [true] once the fiber returned its result or raised. *)
+
   val progress : t -> progress
   (** Last yielded snapshot (zero rounds / infinite latency before the
       first step). *)

@@ -527,6 +527,67 @@ let test_profiler_counters_ground_truth () =
             (List.nth delta 0 + List.nth delta 1 > 0))
         [ true; false; true ])
 
+(* The cache and sampling counters of one metered [Profiler.run] against
+   the result it returns: the published cache counters are the raw
+   simulated events, which the result scales by [scale] when the run is
+   sampled; [profiler.sampled_runs] counts exactly the sampled runs. *)
+let test_profiler_cache_counters_ground_truth () =
+  let op = tiny_c2d () in
+  let task = make_task op in
+  let prog =
+    Option.get
+      (Measure.program_of task
+         (Templates.channels_last_choice op)
+         (Schedule.default ~rank:4 ~nred:3))
+  in
+  let counter name = Metrics.counter_value (Metrics.counter name) in
+  let sampled_seen = ref 0 in
+  with_metrics (fun () ->
+      List.iter
+        (fun (fast, max_points) ->
+          Metrics.reset ();
+          let bufs = Runtime.alloc_bufs prog ~inputs:task.Measure.feeds in
+          let r =
+            Profiler.run ~machine:task.Measure.machine ~fast ?max_points prog
+              ~bufs
+          in
+          let what =
+            Fmt.str "%s%s"
+              (if fast then "fast" else "scalar")
+              (if r.Profiler.sampled then " sampled" else "")
+          in
+          if r.Profiler.sampled then incr sampled_seen;
+          Alcotest.(check int) (what ^ ": runs") 1 (counter "profiler.runs");
+          Alcotest.(check int)
+            (what ^ ": sampled_runs")
+            (if r.Profiler.sampled then 1 else 0)
+            (counter "profiler.sampled_runs");
+          let scaled name = float_of_int (counter name) *. r.Profiler.scale in
+          Alcotest.(check (float 0.0))
+            (what ^ ": l1 accesses") r.Profiler.l1_accesses
+            (scaled "sim.l1.accesses");
+          Alcotest.(check (float 0.0))
+            (what ^ ": l1 misses") r.Profiler.l1_misses
+            (scaled "sim.l1.misses");
+          Alcotest.(check (float 0.0))
+            (what ^ ": l2 misses") r.Profiler.l2_misses
+            (scaled "sim.l2.misses");
+          List.iter
+            (fun lvl ->
+              Alcotest.(check int)
+                (Fmt.str "%s: %s hits + misses = accesses" what lvl)
+                (counter (lvl ^ ".accesses"))
+                (counter (lvl ^ ".hits") + counter (lvl ^ ".misses")))
+            [ "sim.l1"; "sim.l2" ];
+          Alcotest.(check int)
+            (what ^ ": every l1 miss reaches l2") (counter "sim.l1.misses")
+            (counter "sim.l2.accesses");
+          Alcotest.(check bool)
+            (what ^ ": misses counted") true
+            (counter "sim.l1.misses" > 0))
+        [ (true, None); (false, None); (true, Some 200); (false, Some 200) ]);
+  Alcotest.(check int) "sampled runs exercised" 2 !sampled_seen
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint robustness                                              *)
 (* ------------------------------------------------------------------ *)
@@ -795,6 +856,8 @@ let () =
         [
           Alcotest.test_case "published = engine-stats delta" `Quick
             test_profiler_counters_ground_truth;
+          Alcotest.test_case "cache + sampling counters = result" `Quick
+            test_profiler_cache_counters_ground_truth;
         ] );
       ( "checkpoint-robustness",
         [

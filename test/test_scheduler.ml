@@ -1,7 +1,9 @@
 (* Differential tests for the gradient task scheduler (DESIGN.md §14):
-   jobs-count invariance of whole-zoo trajectories, Static-policy
-   equivalence with the legacy sequential graph tuner, Tuner.Step fiber
-   equivalence with direct tuner calls, and the headline perf property —
+   jobs-count invariance of whole-zoo trajectories; goldens pinning
+   tune_graph (Static through the scheduler) to digests captured from the
+   deleted legacy sequential loop; Tuner.Step fiber equivalence with
+   direct tuner calls, plus its failure paths (a raising tuner, abort at
+   a yield, abort after completion); and the headline perf property —
    gradient scheduling with cost-model transfer beats (or matches) the
    static split on end-to-end latency at equal budget. *)
 
@@ -123,7 +125,8 @@ let test_jobs_invariance policy () =
 
 (* --- Static through the scheduler == the legacy sequential loop ---
 
-   Goldens captured from the legacy sequential tune_graph loop: every
+   Goldens captured from the legacy sequential tune_graph loop before it
+   was deleted; tune_graph now runs Static through the scheduler.  Every
    system on both models, plain, under 30% injected faults with one
    retry, and with warm-started cost models.  Each digest covers the
    graph-level result (tasks, measurements, per-node choices and
@@ -274,6 +277,57 @@ let test_step_early_finish () =
     "progress tracks result" true
     (p.Tuner.best_latency >= r.Tuner.best_latency)
 
+(* --- Tuner.Step failure paths: a raising tuner and injected aborts --- *)
+
+exception Injected
+
+let stepped_alt ?on_round ?(finally = ignore) () =
+  Tuner.Step.start (fun ~stop ~on_progress ->
+      Fun.protect ~finally (fun () ->
+          Tuner.tune_alt ~seed:0 ?on_round ~stop ~on_progress ~joint_budget:12
+            ~loop_budget:20 (step_task ())))
+
+let test_step_raise_then_finish () =
+  let fiber =
+    stepped_alt ~on_round:(fun r -> if r = 2 then failwith "boom") ()
+  in
+  (match Tuner.Step.step fiber with
+  | Tuner.Step.Running _ -> ()
+  | Tuner.Step.Done _ -> Alcotest.fail "finished after one round");
+  let boom = Failure "boom" in
+  Alcotest.check_raises "step raises the tuner's exception" boom (fun () ->
+      ignore (Tuner.Step.step fiber));
+  Alcotest.(check bool) "finished" true (Tuner.Step.finished fiber);
+  Alcotest.check_raises "finish re-raises" boom (fun () ->
+      ignore (Tuner.Step.finish fiber));
+  Alcotest.check_raises "step re-raises" boom (fun () ->
+      ignore (Tuner.Step.step fiber))
+
+let test_step_abort_at_yield () =
+  let finalized = ref 0 in
+  let fiber = stepped_alt ~finally:(fun () -> incr finalized) () in
+  (match Tuner.Step.step fiber with
+  | Tuner.Step.Running _ -> ()
+  | Tuner.Step.Done _ -> Alcotest.fail "finished after one round");
+  Alcotest.(check int) "not finalized while paused" 0 !finalized;
+  Alcotest.check_raises "abort surfaces the exception" Injected (fun () ->
+      ignore (Tuner.Step.abort fiber Injected));
+  Alcotest.(check int) "finalizer ran once" 1 !finalized;
+  Alcotest.(check bool) "finished" true (Tuner.Step.finished fiber);
+  Alcotest.check_raises "step after abort" Injected (fun () ->
+      ignore (Tuner.Step.step fiber));
+  Alcotest.(check int) "finalizer not rerun" 1 !finalized
+
+let test_step_abort_after_done () =
+  let fiber = stepped_alt () in
+  let r = Tuner.Step.finish fiber in
+  match Tuner.Step.abort fiber Injected with
+  | Tuner.Step.Done r' ->
+      Alcotest.(check (float 0.0))
+        "same result" r.Tuner.best_latency r'.Tuner.best_latency;
+      Alcotest.(check bool) "finished" true (Tuner.Step.finished fiber)
+  | Tuner.Step.Running _ -> Alcotest.fail "done fiber resumed"
+
 (* --- the perf property: gradient + transfer >= static at equal budget --- *)
 
 let e2e_latency tuned =
@@ -354,6 +408,12 @@ let () =
             test_step_equals_direct;
           Alcotest.test_case "early finish is valid" `Quick
             test_step_early_finish;
+          Alcotest.test_case "raise then finish re-raises" `Quick
+            test_step_raise_then_finish;
+          Alcotest.test_case "abort at a yield runs finalizers" `Quick
+            test_step_abort_at_yield;
+          Alcotest.test_case "abort after done is a no-op" `Quick
+            test_step_abort_after_done;
         ] );
       ( "perf",
         [
