@@ -3,7 +3,7 @@
 # The bench-* targets write BENCH_<name>.json at the repo root (quick
 # scale by default, or full); their *-smoke variants write under _build/
 # so they never overwrite the committed perf trajectory.
-.PHONY: all check test bench bench-profiler bench-profiler-smoke \
+.PHONY: all check test env-lint bench bench-profiler bench-profiler-smoke \
 	bench-tuner bench-tuner-smoke fault-smoke obs-smoke model-smoke \
 	exec-smoke serve-smoke relation-smoke bench-crossval bench-crossval-smoke \
 	bench-exec bench-exec-smoke bench-e2e bench-e2e-smoke perfbench-smoke clean
@@ -13,6 +13,17 @@ all:
 
 test:
 	dune runtest
+
+# Environment guard: production code (lib/, bin/) reads environment
+# variables only in the two observability sinks (ALT_TRACE, ALT_METRICS).
+# Any other Sys.getenv there is a runtime switch around the one code path
+# and fails the check.
+env-lint:
+	@if grep -rn --include='*.ml' --include='*.mli' 'Sys.getenv' lib bin \
+	    | grep -v -e '^lib/obs/trace.ml:' -e '^lib/obs/metrics.ml:'; then \
+	  echo "env-lint: Sys.getenv outside lib/obs/trace.ml and lib/obs/metrics.ml" >&2; \
+	  exit 1; \
+	fi
 
 # Tier-2 gate: a tuning run under 30% injected measurement faults must
 # complete with a finite best latency and a best schedule that lowers
@@ -24,8 +35,7 @@ fault-smoke:
 
 # fast-engine micro-benchmark: times Profiler.run under both engines,
 # re-checks the fast==scalar differential oracle, writes
-# BENCH_profiler.json (ALT_BENCH_SCALE=smoke|quick|full; ALT_FAST_SIM=0
-# to pin the scalar engine)
+# BENCH_profiler.json (ALT_BENCH_SCALE=smoke|quick|full)
 bench-profiler:
 	dune exec bench/bench_profiler.exe
 
@@ -34,8 +44,8 @@ bench-profiler-smoke:
 
 # search-side micro-benchmark: times GBDT fitting (per-node re-sort vs
 # the exact-greedy workspace fitter) and candidate ranking (per-sample vs
-# batched prediction), plus an old-vs-new tune_alt wall-clock comparison
-# (ALT_GBDT_REFERENCE=1 pins the seed fitter), writes BENCH_tuner.json
+# batched prediction), plus a tune_alt wall-clock comparison with the
+# lowering/feature memo cache off vs on, writes BENCH_tuner.json
 bench-tuner:
 	dune exec bench/bench_tuner.exe
 
@@ -87,8 +97,7 @@ exec-smoke:
 # Relation-algebra gate: the QCheck2 round-trip/differential suite for
 # the layout relation algebra (DESIGN.md §16) at a reduced chain count.
 # ALT_RELATION_COUNT scales every property (default 500 under
-# `dune runtest`, 60 here); ALT_LAYOUT_REFERENCE=1 at runtime pins the
-# kept-verbatim seed pack/unpack for A/B debugging.
+# `dune runtest`, 60 here).
 relation-smoke:
 	ALT_RELATION_COUNT=60 dune exec test/test_relation.exe
 
@@ -132,7 +141,7 @@ perfbench-smoke:
 	python3 perfbench/run.py --workload zoo_gradient --seed 1 --seconds 5 \
 	  --trace 0
 
-check: all test relation-smoke bench-profiler-smoke bench-tuner-smoke \
+check: all test env-lint relation-smoke bench-profiler-smoke bench-tuner-smoke \
 	fault-smoke obs-smoke model-smoke exec-smoke serve-smoke \
 	bench-crossval-smoke bench-exec-smoke bench-e2e-smoke perfbench-smoke
 

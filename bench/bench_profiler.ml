@@ -8,9 +8,7 @@
    (the differential oracle); any mismatch aborts the benchmark.  Results
    go to BENCH_profiler.json so the perf trajectory is tracked across PRs.
 
-   ALT_BENCH_SCALE=smoke|quick|full controls sizes and repetitions;
-   ALT_FAST_SIM=0 force-disables the fast engine (the reported speedup
-   then degenerates to ~1, making the knob's effect visible). *)
+   ALT_BENCH_SCALE=smoke|quick|full controls sizes and repetitions. *)
 
 open Alt
 
@@ -151,20 +149,16 @@ let bench_workload machine (w : workload) : row =
   let bufs () = Runtime.alloc_bufs prog ~inputs:task.Measure.feeds in
   (* correctness first: identical counters, and the fast engine must
      actually engage on the hot loop (non-vacuous speedup claim) *)
-  let fast_on = Profiler.fast_sim_enabled () in
   let es = Profiler.fresh_engine_stats () in
-  let rf =
-    Profiler.run ~machine ~fast:fast_on ~engine:es prog ~bufs:(bufs ())
-  in
+  let rf = Profiler.run ~machine ~engine:es prog ~bufs:(bufs ()) in
   let rs = Profiler.run ~machine ~fast:false prog ~bufs:(bufs ()) in
   assert_equal w rf rs;
-  if fast_on && es.Profiler.fast_groups = 0 then
+  if es.Profiler.fast_groups = 0 then
     Fmt.failwith "%s: fast engine did not engage" w.wname;
   let b = bufs () in
   let fast_rps =
     throughput (fun () ->
-        ignore
-          (Profiler.run ~machine ~fast:fast_on prog ~bufs:b : Profiler.result))
+        ignore (Profiler.run ~machine prog ~bufs:b : Profiler.result))
   in
   let scalar_rps =
     throughput (fun () ->
@@ -186,8 +180,6 @@ let json_of_rows machine rows =
   add "{\n";
   add (Fmt.str "  \"scale\": %S,\n" scale_name);
   add (Fmt.str "  \"machine\": %S,\n" machine.Machine.name);
-  add
-    (Fmt.str "  \"fast_sim_enabled\": %b,\n" (Profiler.fast_sim_enabled ()));
   add "  \"workloads\": [\n";
   List.iteri
     (fun i r ->
@@ -223,9 +215,8 @@ let json_of_rows machine rows =
 
 let () =
   let machine = Machine.intel_cpu in
-  Fmt.pr "profiler micro-benchmark (scale=%s, machine=%s, fast default=%b)@."
-    scale_name machine.Machine.name
-    (Profiler.fast_sim_enabled ());
+  Fmt.pr "profiler micro-benchmark (scale=%s, machine=%s)@." scale_name
+    machine.Machine.name;
   let rows = List.map (bench_workload machine) workloads in
   List.iter
     (fun r ->

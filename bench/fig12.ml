@@ -54,8 +54,8 @@ let tune_candidates op =
     (fun choice ->
       let task = Measure.make_task ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points op in
       let r =
-        Tuner.tune_loop_only ~jobs:(effective_jobs ()) ~explorer:Tuner.Guided
-          ~budget:loop_budget ~layouts:[ choice ] task
+        Tuner.tune_loop_only ~pool:(Pool.create ~jobs:(effective_jobs ()) ())
+          ~explorer:Tuner.Guided ~budget:loop_budget ~layouts:[ choice ] task
       in
       (choice, r))
     (candidate_choices op)

@@ -174,8 +174,9 @@ let run () =
                     let op = mk (Fmt.str "%s_%d" fam ci) in
                     let task = Measure.make_task ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points op in
                     let r =
-                      Tuner.tune_op ~jobs:(effective_jobs ()) ~system:sys
-                        ~budget task
+                      Tuner.tune_op
+                        ~pool:(Pool.create ~jobs:(effective_jobs ()) ())
+                        ~system:sys ~budget task
                     in
                     if sys = Tuner.Alt && machine.Machine.name = "intel-cpu"
                     then

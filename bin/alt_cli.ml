@@ -135,16 +135,6 @@ let setup_obs ~trace ~metrics =
   | Some path -> Metrics.set_output path
   | None -> Metrics.configure_from_env ()
 
-let fast_arg =
-  Arg.(
-    value
-    & opt bool (Profiler.fast_sim_enabled ())
-    & info [ "fast-sim" ] ~docv:"BOOL"
-        ~doc:
-          "Use the profiler's line-granular fast simulation engine \
-           (counters are identical to the scalar interpreter either way). \
-           Defaults to true unless ALT_FAST_SIM=0 is set.")
-
 let backend_arg =
   Arg.(
     value
@@ -259,8 +249,8 @@ let system_arg =
 let tune_op_cmd =
   let run machine budget seed jobs kind batch channels out_channels spatial
       kernel stride system fault_rate fault_seed retries watchdog checkpoint
-      resume fast backend_sel exec_warmup exec_repeats exec_domains
-      warm_start trace metrics =
+      resume backend_sel exec_warmup exec_repeats exec_domains warm_start trace
+      metrics =
     setup_logs ();
     setup_obs ~trace ~metrics;
     let jobs = resolve_jobs jobs in
@@ -274,12 +264,12 @@ let tune_op_cmd =
     in
     let task =
       Measure.make_task ~machine ~faults ~retries ?watchdog_points:watchdog
-        ~fast ~backend op
+        ~backend op
     in
     let t0 = Unix.gettimeofday () in
     let r =
-      Tuner.tune_op ~seed ~jobs ~warm_start ?checkpoint ?resume ~system
-        ~budget task
+      Tuner.tune_op ~seed ~pool:(Pool.create ~jobs ()) ~warm_start ?checkpoint
+        ?resume ~system ~budget task
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     (* the summary below prints from the metrics registry: the task's
@@ -349,9 +339,9 @@ let tune_op_cmd =
       const run $ machine_arg $ budget_arg $ seed_arg $ jobs_arg $ op_kind_arg
       $ batch_arg $ channels_arg $ out_channels_arg $ spatial_arg $ kernel_arg
       $ stride_arg $ system_arg $ fault_rate_arg $ fault_seed_arg
-      $ retries_arg $ watchdog_arg $ checkpoint_arg $ resume_arg $ fast_arg
-      $ backend_arg $ exec_warmup_arg $ exec_repeats_arg $ exec_domains_arg
-      $ warm_start_arg $ trace_arg $ metrics_arg)
+      $ retries_arg $ watchdog_arg $ checkpoint_arg $ resume_arg $ backend_arg
+      $ exec_warmup_arg $ exec_repeats_arg $ exec_domains_arg $ warm_start_arg
+      $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* tune-model                                                         *)
@@ -404,8 +394,8 @@ let scheduler_arg =
 
 let tune_model_cmd =
   let run machine budget seed jobs model batch system policy fault_rate
-      fault_seed retries fast backend_sel exec_warmup exec_repeats
-      exec_domains warm_start trace metrics =
+      fault_seed retries backend_sel exec_warmup exec_repeats exec_domains
+      warm_start trace metrics =
     setup_logs ();
     setup_obs ~trace ~metrics;
     let jobs = resolve_jobs jobs in
@@ -419,8 +409,8 @@ let tune_model_cmd =
       (Graph_tuner.gsystem_name system)
       Machine.pp machine budget;
     let tg =
-      Graph_tuner.tune_graph ~seed ~jobs ~faults ~retries ~fast ~backend
-        ~warm_start ?policy ~system ~machine ~budget spec.Zoo.graph
+      Graph_tuner.tune_graph ~seed ~jobs ~faults ~retries ~backend ~warm_start
+        ?policy ~system ~machine ~budget spec.Zoo.graph
     in
     let r = Graph_tuner.run tg ~machine in
     Fmt.pr "end-to-end latency: %.4f ms@." r.Compile.latency_ms;
@@ -434,7 +424,7 @@ let tune_model_cmd =
     Term.(
       const run $ machine_arg $ budget_arg $ seed_arg $ jobs_arg $ model_arg
       $ batch_arg $ gsystem_arg $ scheduler_arg $ fault_rate_arg
-      $ fault_seed_arg $ retries_arg $ fast_arg $ backend_arg
+      $ fault_seed_arg $ retries_arg $ backend_arg
       $ exec_warmup_arg $ exec_repeats_arg $ exec_domains_arg
       $ warm_start_arg $ trace_arg $ metrics_arg)
 
@@ -463,7 +453,7 @@ let transfer_arg =
 
 let schedule_cmd =
   let run machine budget seed jobs models batch system policy transfer
-      fault_rate fault_seed retries fast warm_start trace metrics =
+      fault_rate fault_seed retries warm_start trace metrics =
     setup_logs ();
     setup_obs ~trace ~metrics;
     let jobs = resolve_jobs jobs in
@@ -482,7 +472,7 @@ let schedule_cmd =
       (Scheduler.policy_name policy)
       Machine.pp machine budget;
     let report, tuned =
-      Graph_tuner.tune_models ~seed ~jobs ~faults ~retries ~fast ~warm_start
+      Graph_tuner.tune_models ~seed ~jobs ~faults ~retries ~warm_start
         ?transfer ~policy ~system ~machine ~budget graphs
     in
     Fmt.pr
@@ -520,8 +510,8 @@ let schedule_cmd =
     Term.(
       const run $ machine_arg $ budget_arg $ seed_arg $ jobs_arg $ models_arg
       $ batch_arg $ gsystem_arg $ scheduler_arg $ transfer_arg
-      $ fault_rate_arg $ fault_seed_arg $ retries_arg $ fast_arg
-      $ warm_start_arg $ trace_arg $ metrics_arg)
+      $ fault_rate_arg $ fault_seed_arg $ retries_arg $ warm_start_arg
+      $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* show-op                                                            *)
@@ -534,8 +524,7 @@ let layout_preset_arg =
         ~doc:"Layout preset: default, channels-last, blocked, alt.")
 
 let show_op_cmd =
-  let run machine kind batch channels out_channels spatial kernel stride preset
-      fast =
+  let run machine kind batch channels out_channels spatial kernel stride preset =
     setup_logs ();
     let op =
       make_op kind ~batch ~channels ~out_channels ~spatial ~kernel ~stride
@@ -553,7 +542,7 @@ let show_op_cmd =
           | None -> Templates.trivial_choice op)
       | p -> Fmt.failwith "unknown preset %S" p
     in
-    let task = Measure.make_task ~machine ~fast op in
+    let task = Measure.make_task ~machine op in
     let rank = Shape.rank (Layout.physical_shape choice.Propagate.out_layout) in
     let sched =
       Schedule.vectorize
@@ -571,7 +560,7 @@ let show_op_cmd =
     Term.(
       const run $ machine_arg $ op_kind_arg $ batch_arg $ channels_arg
       $ out_channels_arg $ spatial_arg $ kernel_arg $ stride_arg
-      $ layout_preset_arg $ fast_arg)
+      $ layout_preset_arg)
 
 (* ------------------------------------------------------------------ *)
 (* obs-validate                                                       *)

@@ -81,17 +81,16 @@ module Zoo = Alt_models.Zoo
     configure fault injection and recovery, [checkpoint]/[resume] the
     round journal (see DESIGN.md §8). *)
 let tune_operator ?(machine = Machine.intel_cpu) ?(budget = 200)
-    ?(max_points = 40_000) ?seed ?jobs ?levels ?faults ?retries
+    ?(max_points = 40_000) ?seed ?(jobs = 1) ?levels ?faults ?retries
     ?watchdog_points ?backend ?warm_start ?checkpoint ?resume (op : Opdef.t) :
     Tuner.result =
   let task =
     Measure.make_task ~machine ~max_points ?faults ?retries ?watchdog_points
       ?backend op
   in
-  Tuner.tune_alt ?seed ?jobs ?levels ?warm_start ?checkpoint ?resume
-    ~joint_budget:(budget * 3 / 10)
-    ~loop_budget:(budget * 7 / 10)
-    task
+  Tuner.tune_alt ?seed ~pool:(Pool.create ~jobs ()) ?levels ?warm_start
+    ?checkpoint ?resume ~joint_budget:(budget * 3 / 10)
+    ~loop_budget:(budget * 7 / 10) task
 
 (** Tune and compile an end-to-end model.  [policy] is the task
     scheduler's trial-allocation policy (DESIGN.md §14); the default,

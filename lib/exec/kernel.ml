@@ -1,6 +1,6 @@
 (* Compiled macro-kernels: the exec backend's lowering (DESIGN.md §12).
 
-   This is the value half of the fast-sim compiler in
+   This is the value half of the fast simulation compiler in
    lib/machine/profiler.ml with the cache model cut away: the same
    expression compilation, the same hoisted affine bases, the same
    multiply-accumulate specialization — but executing for wall-clock

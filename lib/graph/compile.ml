@@ -195,21 +195,13 @@ let execute ?(machine = Machine.intel_cpu) ?max_points (c : compiled)
 
 (* Convenience: plan with trivial choices for each complex op (used by
    loop-only baselines that keep default layouts). *)
-let trivial_choices ?(out_perm : int array option) (g : Graph.t) :
-    (string * Propagate.choice) list =
+let trivial_choices (g : Graph.t) : (string * Propagate.choice) list =
   List.map
     (fun (n : Graph.node) ->
       let op = n.Graph.op in
-      let out_shape = op.Opdef.out_shape in
-      let out_layout =
-        match out_perm with
-        | Some p when Array.length p = Shape.rank out_shape ->
-            Layout.reorder (Layout.create out_shape) p
-        | _ -> Layout.create out_shape
-      in
       ( op.Opdef.name,
         {
-          Propagate.out_layout;
+          Propagate.out_layout = Layout.create op.Opdef.out_shape;
           in_layouts =
             List.map (fun (t, s) -> (t, Layout.create s)) op.Opdef.inputs;
         } ))

@@ -41,7 +41,6 @@ val execute :
   ?machine:Machine.t -> ?max_points:int -> compiled ->
   feeds:(string * float array) list -> exec_result
 
-val trivial_choices :
-  ?out_perm:int array -> Graph.t -> (string * Propagate.choice) list
-(** Identity (or permuted) layouts for every complex operator — the
+val trivial_choices : Graph.t -> (string * Propagate.choice) list
+(** Identity layouts for every complex operator — the
     baseline configuration of loop-only systems. *)

@@ -40,8 +40,8 @@
    transitions of the element-wise walk, so the produced counters are
    bit-identical to the scalar interpreter's — proven by the differential
    suite in test/test_fastsim.ml.  Gather/strided statements fall back to
-   the scalar interpreter.  [ALT_FAST_SIM=0] (or [~fast:false]) disables
-   the engine globally. *)
+   the scalar interpreter.  [~fast:false] runs the scalar interpreter
+   alone, the reference the differential suite compares against. *)
 
 module Var = Alt_tensor.Var
 module Shape = Alt_tensor.Shape
@@ -88,16 +88,6 @@ type engine_stats = {
 
 let fresh_engine_stats () =
   { fast_groups = 0; scalar_groups = 0; fast_runs = 0; scalar_runs = 0 }
-
-(* ALT_FAST_SIM=0|false|off|no disables the fast path by default; callers
-   can still override per run with [~fast]. *)
-let fast_env =
-  lazy
-    (match Sys.getenv_opt "ALT_FAST_SIM" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true)
-
-let fast_sim_enabled () = Lazy.force fast_env
 
 let elem_bytes = 4 (* float32 addressing model *)
 
@@ -1074,9 +1064,8 @@ let publish_run ctx ~(es0 : engine_stats) ~sampled =
   Cache.publish_obs ~prefix:"sim.l1" ctx.l1;
   Cache.publish_obs ~prefix:"sim.l2" ctx.l2
 
-let run ?(machine = Machine.intel_cpu) ?max_points ?fast ?engine
+let run ?(machine = Machine.intel_cpu) ?max_points ?(fast = true) ?engine
     (p : Program.t) ~(bufs : float array array) : result =
-  let fast = match fast with Some f -> f | None -> fast_sim_enabled () in
   if Array.length bufs <> Array.length p.Program.slots then
     invalid_arg "Profiler.run: buffer count mismatch";
   Array.iteri

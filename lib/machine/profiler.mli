@@ -47,19 +47,16 @@ val parallel_extent : Program.t -> int
     the profiler reports; exported so other backends (exec) can fill the
     same {!result} field consistently. *)
 
-val fast_sim_enabled : unit -> bool
-(** Default for [?fast]: [false] iff [ALT_FAST_SIM] is set to
-    [0]/[false]/[off]/[no] (read once, lazily). *)
-
 val run :
   ?machine:Machine.t -> ?max_points:int -> ?fast:bool ->
   ?engine:engine_stats -> Program.t -> bufs:float array array -> result
 (** Execute the program over per-slot physical buffers (see
     {!Runtime.alloc_bufs}).  When the iteration count exceeds
     [max_points], outermost loops are truncated and counters rescaled.
-    [fast] (default {!fast_sim_enabled}) selects the line-granular
-    batching engine for eligible innermost loops; results are identical
-    either way.  [engine] receives coverage counts of fast vs fallback
-    execution. *)
+    [fast] (default true) selects the line-granular batching engine for
+    eligible innermost loops; results are identical either way, and
+    [~fast:false] (the scalar interpreter alone) is the reference the
+    differential suites compare against.  [engine] receives coverage
+    counts of fast vs fallback execution. *)
 
 val pp_result : result Fmt.t

@@ -103,6 +103,19 @@ let string_field j name dflt =
   | Some v -> v
   | None -> dflt
 
+(* Upper bounds on what one wire request may ask for, so an oversized
+   request is rejected before it allocates buffers or a long tuning run.
+   Fixed constants, far above every spec the repo's own traffic sends. *)
+let max_budget = 10_000
+let max_op_elements = 1 lsl 22
+
+(* Total elements of [shapes], in floats so hostile extents cannot wrap
+   around [max_int]. *)
+let total_elements shapes =
+  List.fold_left
+    (fun acc s -> acc +. Array.fold_left (fun a d -> a *. float_of_int d) 1.0 s)
+    0.0 shapes
+
 let op_spec_of_json (j : Json.t) : (op_spec, string) result =
   match j with
   | Json.Obj _ ->
@@ -120,7 +133,15 @@ let op_spec_of_json (j : Json.t) : (op_spec, string) result =
       (* validate eagerly so a bad spec is a structured rejection, not a
          mid-session crash *)
       (match op_of_spec s with
-      | (_ : Opdef.t) -> Ok s
+      | op ->
+          let shapes = op.Opdef.out_shape :: List.map snd op.Opdef.inputs in
+          if List.exists (Array.exists (fun d -> d < 1)) shapes then
+            Error "op extents must be >= 1"
+          else if total_elements shapes > float_of_int max_op_elements then
+            Error
+              (Fmt.str "op has more than %d input and output elements"
+                 max_op_elements)
+          else Ok s
       | exception Failure msg -> Error msg
       | exception Invalid_argument msg -> Error msg)
   | _ -> Error "op spec must be a JSON object"
@@ -223,6 +244,12 @@ let tune_spec_of_json (j : Json.t) : (tune_spec, string) result =
           else if system_of_name s.system = None then
             Error (Fmt.str "unknown system %S" s.system)
           else if s.budget < 1 then Error "budget must be >= 1"
+          else if s.budget > max_budget then
+            Error (Fmt.str "budget must be <= %d" max_budget)
+          else if s.max_points < 1 then Error "max_points must be >= 1"
+          else if
+            match s.watchdog_points with Some p -> p < 1 | None -> false
+          then Error "watchdog_points must be >= 1"
           else if s.retries < 0 then Error "retries must be >= 0"
           else if s.fault_rate < 0.0 || s.fault_rate > 1.0 then
             Error "fault_rate must be in [0,1]"

@@ -32,10 +32,14 @@ val op_of_spec : op_spec -> Opdef.t
 (** Construct the operator (raises [Failure] on an unknown kind — use
     {!op_spec_of_json} for validated wire input). *)
 
+val max_op_elements : int
+(** Cap on an operator's total input and output elements. *)
+
 val op_spec_to_json : op_spec -> Json.t
 val op_spec_of_json : Json.t -> (op_spec, string) result
 (** Missing fields take {!default_op} values; the spec is validated by
-    constructing the operator once. *)
+    constructing the operator once, and rejected if an extent is below 1
+    or its tensors exceed {!max_op_elements} elements in total. *)
 
 type tune_spec = {
   op : op_spec;
@@ -60,9 +64,14 @@ val tune_spec_to_json : tune_spec -> Json.t
 (** Canonical: fixed field order, shortest-round-trip floats — rendering
     this is the session's canonical serialization. *)
 
+val max_budget : int
+(** Cap on a tune request's trial [budget]. *)
+
 val tune_spec_of_json : Json.t -> (tune_spec, string) result
 (** Missing fields take {!default_tune_spec} values; machine, system and
-    numeric ranges are validated. *)
+    numeric ranges are validated: [budget] in [1, {!max_budget}],
+    [max_points >= 1], [watchdog_points >= 1] when given, [retries >= 0],
+    [fault_rate] in [0, 1]. *)
 
 val session_key : tune_spec -> string
 (** Digest of the canonical spec: requests with equal keys are one

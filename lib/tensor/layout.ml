@@ -25,8 +25,7 @@
 
    The seed implementations of the concrete maps are kept verbatim in
    {!Reference} as the differential oracle (test/test_relation.ml proves
-   byte-identity); [ALT_LAYOUT_REFERENCE=1] routes production entry points
-   back through them, same escape-hatch pattern as [ALT_GBDT_REFERENCE].
+   byte-identity); production entry points never route through them.
 
    Physical buffers are always row-major over the physical shape.
 
@@ -344,47 +343,6 @@ let forward_exprs ?(bounds = Ixexpr.no_bounds) ?(window = no_window) t
 (* Symbolic inverse rewriting: physical indices -> logical indices.    *)
 (* ------------------------------------------------------------------ *)
 
-let inverse_exprs ?(bounds = Ixexpr.no_bounds) t (idx : Ixexpr.t array) :
-    Ixexpr.t array =
-  if not (invertible t) then
-    err "inverse_exprs: layout %a contains advanced primitives" pp t;
-  let trace = Array.of_list (shape_trace t) in
-  let prims = Array.of_list t.prims in
-  let n = Array.length prims in
-  let cur = ref idx in
-  for i = n - 1 downto 0 do
-    let shape_before = trace.(i) in
-    let idx = !cur in
-    (cur :=
-       match prims.(i) with
-       | Split { dim; factors } ->
-           (* inverse of split = fuse of the produced dims *)
-           let sizes = Array.of_list factors in
-           let es = Array.sub idx dim (Array.length sizes) in
-           Array.concat
-             [
-               Array.sub idx 0 dim;
-               [| fuse_expr es sizes |];
-               Array.sub idx
-                 (dim + Array.length sizes)
-                 (Array.length idx - dim - Array.length sizes);
-             ]
-       | Reorder perm ->
-           let out = Array.make (Array.length idx) Ixexpr.zero in
-           Array.iteri (fun i pdim -> out.(pdim) <- idx.(i)) perm;
-           out
-       | Fuse { dim; count } ->
-           let sizes = Array.to_list (Array.sub shape_before dim count) in
-           Array.concat
-             [
-               Array.sub idx 0 dim;
-               Array.of_list (split_exprs idx.(dim) sizes);
-               Array.sub idx (dim + 1) (Array.length idx - dim - 1);
-             ]
-       | Unfold _ | Pad _ -> assert false)
-  done;
-  Array.map (Ixexpr.simplify ~bounds) !cur
-
 (* Physical index exprs -> logical index exprs, defined even for unfold
    (logical = tile*stride + offset) and pad (logical = i - lo, with an
    in-bounds condition).  Used to generate conversion-operator programs. *)
@@ -445,14 +403,20 @@ let logical_of_physical ?(bounds = Ixexpr.no_bounds) t (idx : Ixexpr.t array) :
   ( Array.map (Ixexpr.simplify ~bounds) !cur,
     List.map (fun (e, d) -> (Ixexpr.simplify ~bounds e, d)) !conds )
 
+(* The S_Y^{-1} of Section 6: on an invertible chain (split, reorder and
+   fuse only) the inverse walk raises no conditions. *)
+let inverse_exprs ?bounds t (idx : Ixexpr.t array) : Ixexpr.t array =
+  if not (invertible t) then
+    err "inverse_exprs: layout %a contains advanced primitives" pp t;
+  fst (logical_of_physical ?bounds t idx)
+
 (* ------------------------------------------------------------------ *)
 (* Concrete data movement (relation-backed, seed kept as oracle).      *)
 (* ------------------------------------------------------------------ *)
 
 (* The seed implementations, verbatim: per-primitive backward/forward
    walks over the primitive list.  They are the differential oracle the
-   QCheck2 suite pins the relation path against, and the
-   [ALT_LAYOUT_REFERENCE=1] escape hatch at runtime. *)
+   QCheck2 suite pins the relation path against. *)
 module Reference = struct
   let physical_shape t = List.fold_left shape_step t.logical t.prims
 
@@ -620,74 +584,55 @@ module Reference = struct
     fun lidx -> Shape.offset_of_index phys (fwd lidx)
 end
 
-let m_fallback = Alt_obs.Metrics.counter "layout.relation.fallback"
-
-let reference_mode () =
-  match Sys.getenv_opt "ALT_LAYOUT_REFERENCE" with
-  | Some ("1" | "true" | "yes") ->
-      Alt_obs.Metrics.incr m_fallback;
-      true
-  | _ -> false
-
 let pack t (src : float array) : float array =
-  if reference_mode () then Reference.pack t src
-  else begin
-    if Array.length src <> Shape.num_elements t.logical then
-      err "pack: source size %d <> logical elements %d" (Array.length src)
-        (Shape.num_elements t.logical);
-    let d = derived t in
-    let phys = d.phys in
-    let dst = Array.make (Shape.num_elements phys) 0.0 in
-    let back = Relation.compile_bwd d.rel in
-    let lstrides = Shape.strides t.logical in
-    for off = 0 to Array.length dst - 1 do
-      let pidx = Shape.index_of_offset phys off in
-      match back pidx with
-      | None -> () (* zero fill (padding / overrun) *)
-      | Some lidx ->
-          let loff = ref 0 in
-          Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
-          dst.(off) <- src.(!loff)
-    done;
-    dst
-  end
+  if Array.length src <> Shape.num_elements t.logical then
+    err "pack: source size %d <> logical elements %d" (Array.length src)
+      (Shape.num_elements t.logical);
+  let d = derived t in
+  let phys = d.phys in
+  let dst = Array.make (Shape.num_elements phys) 0.0 in
+  let back = Relation.compile_bwd d.rel in
+  let lstrides = Shape.strides t.logical in
+  for off = 0 to Array.length dst - 1 do
+    let pidx = Shape.index_of_offset phys off in
+    match back pidx with
+    | None -> () (* zero fill (padding / overrun) *)
+    | Some lidx ->
+        let loff = ref 0 in
+        Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
+        dst.(off) <- src.(!loff)
+  done;
+  dst
 
 let unpack t (src : float array) : float array =
-  if reference_mode () then Reference.unpack t src
-  else begin
-    let d = derived t in
-    let phys = d.phys in
-    if Array.length src <> Shape.num_elements phys then
-      err "unpack: source size %d <> physical elements %d" (Array.length src)
-        (Shape.num_elements phys);
-    let dst = Array.make (Shape.num_elements t.logical) 0.0 in
-    let back = Relation.compile_bwd d.rel in
-    let lstrides = Shape.strides t.logical in
-    for off = 0 to Array.length src - 1 do
-      let pidx = Shape.index_of_offset phys off in
-      match back pidx with
-      | None -> ()
-      | Some lidx ->
-          let loff = ref 0 in
-          Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
-          dst.(!loff) <- src.(off)
-    done;
-    dst
-  end
+  let d = derived t in
+  let phys = d.phys in
+  if Array.length src <> Shape.num_elements phys then
+    err "unpack: source size %d <> physical elements %d" (Array.length src)
+      (Shape.num_elements phys);
+  let dst = Array.make (Shape.num_elements t.logical) 0.0 in
+  let back = Relation.compile_bwd d.rel in
+  let lstrides = Shape.strides t.logical in
+  for off = 0 to Array.length src - 1 do
+    let pidx = Shape.index_of_offset phys off in
+    match back pidx with
+    | None -> ()
+    | Some lidx ->
+        let loff = ref 0 in
+        Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
+        dst.(!loff) <- src.(off)
+  done;
+  dst
 
 let eval_fwd t : int array -> int array =
   if List.exists (function Unfold _ -> true | _ -> false) t.prims then
     err "eval_fwd: layout has unfold (one-to-many mapping)";
-  if reference_mode () then Reference.eval_fwd t
-  else Relation.compile_fwd (relation t)
+  Relation.compile_fwd (relation t)
 
 let phys_index t =
-  if reference_mode () then Reference.phys_index t
-  else begin
-    let fwd = eval_fwd t in
-    let phys = physical_shape t in
-    fun lidx -> Shape.offset_of_index phys (fwd lidx)
-  end
+  let fwd = eval_fwd t in
+  let phys = physical_shape t in
+  fun lidx -> Shape.offset_of_index phys (fwd lidx)
 
 let num_physical_elements t = Shape.num_elements (physical_shape t)
 

@@ -140,7 +140,7 @@ let tuner_factory ~seed ~levels ?warm_start ~(machine : Machine.t)
 (* Tune a whole zoo of named graphs under one global budget, then
    assemble every model from the shared task results. *)
 let tune_models ?(seed = 0) ?(jobs = 1) ?(levels = 1) ?(max_points = 30_000)
-    ?faults ?retries ?fast ?memo ?backend ?warm_start ?transfer
+    ?faults ?retries ?backend ?warm_start ?transfer
     ?(policy = Scheduler.Gradient)
     ~(system : gsystem) ~(machine : Machine.t) ~(budget : int)
     (graphs : (string * Graph.t) list) :
@@ -153,8 +153,8 @@ let tune_models ?(seed = 0) ?(jobs = 1) ?(levels = 1) ?(max_points = 30_000)
       | Propagate.Full ->
           List.map (fun (c : Graph.node) -> c.Graph.op) e.Taskset.chain
     in
-    Measure.make_task ~fused:fused_ops ~max_points ?faults ?retries ?fast
-      ?memo ?backend ~machine e.Taskset.node.Graph.op
+    Measure.make_task ~fused:fused_ops ~max_points ?faults ?retries ?backend
+      ~machine e.Taskset.node.Graph.op
   in
   let make_tuner = tuner_factory ~seed ~levels ?warm_start ~machine ~system in
   let report =
@@ -171,12 +171,12 @@ let tune_models ?(seed = 0) ?(jobs = 1) ?(levels = 1) ?(max_points = 30_000)
 
 (* A single graph is a one-model zoo; [Static] gives every unique task
    its fixed slice of [budget] in first-seen order. *)
-let tune_graph ?seed ?jobs ?levels ?max_points ?faults ?retries ?fast ?memo
-    ?backend ?warm_start ?(policy = Scheduler.Static) ~(system : gsystem)
+let tune_graph ?seed ?jobs ?levels ?max_points ?faults ?retries ?backend
+    ?warm_start ?(policy = Scheduler.Static) ~(system : gsystem)
     ~(machine : Machine.t) ~(budget : int) (g : Graph.t) : tuned_graph =
   let _, tuned =
-    tune_models ?seed ?jobs ?levels ?max_points ?faults ?retries ?fast ?memo
-      ?backend ?warm_start ~policy ~system ~machine ~budget [ ("model", g) ]
+    tune_models ?seed ?jobs ?levels ?max_points ?faults ?retries ?backend
+      ?warm_start ~policy ~system ~machine ~budget [ ("model", g) ]
   in
   snd (List.hd tuned)
 

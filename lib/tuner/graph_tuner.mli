@@ -31,28 +31,25 @@ type tuned_graph = {
 
 val tune_graph :
   ?seed:int -> ?jobs:int -> ?levels:int -> ?max_points:int ->
-  ?faults:Alt_faults.Fault.t -> ?retries:int -> ?fast:bool -> ?memo:bool ->
-  ?backend:Alt_machine.Runtime.backend ->
-  ?warm_start:bool -> ?policy:Scheduler.policy ->
+  ?faults:Alt_faults.Fault.t -> ?retries:int ->
+  ?backend:Alt_machine.Runtime.backend -> ?warm_start:bool ->
+  ?policy:Scheduler.policy ->
   system:gsystem -> machine:Machine.t -> budget:int ->
   Graph.t -> tuned_graph
 (** [jobs] bounds the domains used for concurrent measurements per tuning
     task; results are identical for every value (see {!Tuner}).  [faults]
     and [retries] configure each per-task measurement pipeline (see
-    {!Measure}).  [fast] selects the profiler's fast engine per task
-    (default: the [ALT_FAST_SIM] knob) and [memo] the per-task
-    lowering/feature memo cache (default on); trajectories are identical
-    either way.  [backend] selects the measuring device per task (see
+    {!Measure}).  [backend] selects the measuring device per task (see
     {!Measure.make_task}).  [warm_start] keeps each task's cost model
-    across batches
-    (off by default; changes trajectories — see {!Tuner.tune_alt}).
+    across batches (off by default; changes trajectories — see
+    {!Tuner.tune_alt}).
     The graph is tuned as a one-model zoo by {!tune_models} under
     [policy] (default [Static]: each unique task gets
     [max 8 (budget / tasks)] trials, in first-seen order). *)
 
 val tune_models :
   ?seed:int -> ?jobs:int -> ?levels:int -> ?max_points:int ->
-  ?faults:Alt_faults.Fault.t -> ?retries:int -> ?fast:bool -> ?memo:bool ->
+  ?faults:Alt_faults.Fault.t -> ?retries:int ->
   ?backend:Alt_machine.Runtime.backend -> ?warm_start:bool ->
   ?transfer:bool -> ?policy:Scheduler.policy ->
   system:gsystem -> machine:Machine.t -> budget:int ->

@@ -152,9 +152,8 @@ let task_inputs (op : Opdef.t) (fused : Opdef.t list) =
   !acc
 
 let make_task ?(fused = []) ?(max_points = 40_000) ?(seed = 11)
-    ?(faults = Fault.none) ?(retries = 2) ?watchdog_points
-    ?(fast = Profiler.fast_sim_enabled ()) ?(memo = true)
-    ?(backend = Runtime.Sim) ?shared ~machine op =
+    ?(faults = Fault.none) ?(retries = 2) ?watchdog_points ?(fast = true)
+    ?(memo = true) ?(backend = Runtime.Sim) ?shared ~machine op =
   if retries < 0 then invalid_arg "Measure.make_task: retries must be >= 0";
   let feeds =
     List.mapi

@@ -140,9 +140,9 @@ val make_task :
   machine:Machine.t -> Opdef.t -> task
 (** [retries] defaults to 2.  With the default [faults] ({!Fault.none})
     and no [watchdog_points], the measurement pipeline is byte-identical
-    to a fault-free build.  [fast] defaults to
-    {!Profiler.fast_sim_enabled} (the [ALT_FAST_SIM] knob).  [memo]
-    (default true) enables the per-task lowering/feature memo cache —
+    to a fault-free build.  [fast] (default true) is passed to
+    {!Profiler.run}; [~fast:false] pins the scalar reference engine.
+    [memo] (default true) enables the per-task lowering/feature memo cache —
     results are identical either way, only repeated work changes.
     [backend] (default {!Runtime.Sim}) selects the measuring device;
     fault injection, retries, the watchdog and quarantine apply

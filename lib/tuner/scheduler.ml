@@ -128,7 +128,7 @@ let m_eps_picks = Alt_obs.Metrics.counter "scheduler.eps_picks"
 let m_rounds = Alt_obs.Metrics.counter "scheduler.rounds"
 let g_tasks = Alt_obs.Metrics.gauge "scheduler.tasks"
 
-let tune_models ?(jobs = 1) ?pool ?transfer ~(policy : policy)
+let tune_models ?(jobs = 1) ?transfer ~(policy : policy)
     ~(make_task : Taskset.entry -> Measure.task)
     ~(make_tuner : make_tuner) ~(budget : int)
     (graphs : (string * Graph.t) list) : report =
@@ -140,10 +140,8 @@ let tune_models ?(jobs = 1) ?pool ?transfer ~(policy : policy)
     match transfer with Some b -> b | None -> policy = Gradient
   in
   let total = match policy with Static -> share | _ -> budget in
-  let pool, own_pool =
-    match pool with Some p -> (p, false) | None -> (Pool.create ~jobs (), true)
-  in
-  Fun.protect ~finally:(fun () -> if own_pool then Pool.shutdown pool)
+  let pool = Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool)
   @@ fun () ->
   (* the transfer registry: latest fitted ensemble per transfer key *)
   let registry : (string, Gbdt.t) Hashtbl.t = Hashtbl.create 16 in

@@ -67,7 +67,6 @@ type report = {
 
 val tune_models :
   ?jobs:int ->
-  ?pool:Pool.t ->
   ?transfer:bool ->
   policy:policy ->
   make_task:(Taskset.entry -> Measure.task) ->
@@ -79,6 +78,6 @@ val tune_models :
     defaults to on under [Gradient] and off otherwise.  Under
     [Gradient], every 7th pick is a round-robin heartbeat and the
     improvement slope is estimated over the last 5 of the task's own
-    rounds.  One shared measurement pool
-    drives all fibers ([pool] wins over [jobs]); trajectories are
-    byte-identical for every pool size. *)
+    rounds.  One shared measurement pool of [jobs] domains, owned by
+    the scheduler, drives all fibers; trajectories are byte-identical
+    for every [jobs] value. *)

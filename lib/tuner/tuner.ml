@@ -62,14 +62,8 @@ type cost_model = {
   mutable fits : int; (* from-scratch fits + warm refits performed *)
   mutable fit_ms : float; (* cumulative fit wall time; 0 unless obs is on *)
   warm : bool; (* keep trees across fits, boost on the grown dataset *)
-  reference : bool; (* use the seed fitter (ALT_GBDT_REFERENCE bench knob) *)
   transfer : transfer option; (* cross-task warm start (scheduler) *)
 }
-
-let reference_fitter () =
-  match Sys.getenv_opt "ALT_GBDT_REFERENCE" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
 
 let new_cost_model ?(warm_start = false) ?transfer () =
   {
@@ -81,7 +75,6 @@ let new_cost_model ?(warm_start = false) ?transfer () =
     fits = 0;
     fit_ms = 0.0;
     warm = warm_start;
-    reference = reference_fitter ();
     transfer;
   }
 
@@ -110,22 +103,19 @@ let cm_fit cm =
     (* reverse-chronological views: see the [cost_model] comment *)
     let xs = Array.init n (fun i -> cm.xs.(n - 1 - i)) in
     let ys = Array.init n (fun i -> cm.ys.(n - 1 - i)) in
-    let fresh () =
-      if cm.reference then Gbdt.fit_reference xs ys else Gbdt.fit xs ys
-    in
     let m =
       match cm.model with
       | Some prev when cm.warm -> Gbdt.refit prev xs ys
-      | Some _ -> fresh ()
+      | Some _ -> Gbdt.fit xs ys
       | None -> (
           (* first fit: a donated ensemble from a similar task warm-starts
              the model — transferred trees seed the prediction, then new
              trees are boosted on this task's own residuals *)
           match cm.transfer with
-          | None -> fresh ()
+          | None -> Gbdt.fit xs ys
           | Some tx -> (
               match tx.donor () with
-              | None -> fresh ()
+              | None -> Gbdt.fit xs ys
               | Some d -> Gbdt.refit d xs ys))
     in
     cm.model <- Some m;
@@ -179,7 +169,6 @@ type state = {
       (* top loop points per layout, mutation parents *)
   fpr : string; (* run fingerprint guarding checkpoints *)
   ckpt_path : string option; (* checkpoint written after each round *)
-  on_round : (int -> unit) option; (* post-round hook (tests: kills) *)
   stop : unit -> bool; (* cooperative preemption probe, checked between
                           rounds only; default never stops *)
   on_progress : (progress -> unit) option;
@@ -202,7 +191,7 @@ let rng_digest rng =
   let e = Random.State.bits c in
   Digest.to_hex (Digest.string (Printf.sprintf "%d|%d|%d|%d" a b d e))
 
-let new_state ?(seed = 0) ?(jobs = 1) ?pool ?cm ?checkpoint ?resume ?on_round
+let new_state ?(seed = 0) ?(pool = Pool.create ()) ?cm ?checkpoint ?resume
     ?(stop = fun () -> false) ?on_progress ?(tag = "") ~budget task =
   let fpr = Measure.fingerprint ~seed ~tag task in
   (match resume with
@@ -237,16 +226,15 @@ let new_state ?(seed = 0) ?(jobs = 1) ?pool ?cm ?checkpoint ?resume ?on_round
     hist = [];
     budget;
     (* a caller-provided pool lets many sessions share one measurement
-       pool (the serve daemon); identical trajectories either way, since
-       results are submission-ordered for every pool size *)
-    pool = (match pool with Some p -> p | None -> Pool.create ~jobs ());
+       pool (the serve daemon); identical trajectories for every pool
+       size, since results are submission-ordered *)
+    pool;
     rng = Random.State.make [| seed; 4242 |];
     cm;
     layout_scores = Hashtbl.create 16;
     elites = Hashtbl.create 16;
     fpr;
     ckpt_path = checkpoint;
-    on_round;
     stop;
     on_progress;
     rounds = 0;
@@ -304,9 +292,10 @@ let round_telemetry st =
   end
 
 (* Close a measurement round: journal the tuning state to disk (if a
-   checkpoint path was given), then fire the round hook.  The checkpoint
-   is saved {e before} the hook so a hook that raises — the tests' stand-in
-   for a killed process — leaves the round's checkpoint behind. *)
+   checkpoint path was given), then fire the progress hook.  The
+   checkpoint is saved {e before} the hook so a hook that raises — the
+   tests' stand-in for a killed process — leaves the round's checkpoint
+   behind. *)
 let end_round st =
   st.rounds <- st.rounds + 1;
   round_telemetry st;
@@ -324,7 +313,6 @@ let end_round st =
           cache;
           quarantine;
         });
-  (match st.on_round with None -> () | Some f -> f st.rounds);
   match st.on_progress with
   | None -> ()
   | Some f ->
@@ -595,10 +583,9 @@ let finish st =
    budgets afford a second round, denoising the layout reward *)
 let rounds_per_layout ~joint_budget = if joint_budget >= 160 then 2 else 1
 
-let tune_alt ?(seed = 0) ?(jobs = 1) ?pool ?(levels = 1)
-    ?(layout_explorer = `Ppo_fresh) ?(seed_layouts = true)
-    ?(warm_start = false) ?checkpoint ?resume ?on_round ?stop ?on_progress
-    ?transfer ~(joint_budget : int) ~(loop_budget : int)
+let tune_alt ?(seed = 0) ?pool ?(levels = 1) ?(layout_explorer = `Ppo_fresh)
+    ?(seed_layouts = true) ?(warm_start = false) ?checkpoint ?resume ?stop
+    ?on_progress ?transfer ~(joint_budget : int) ~(loop_budget : int)
     (task : Measure.task) : result =
   Alt_obs.Trace.with_span "tuner.tune_alt" @@ fun () ->
   let op = task.Measure.op in
@@ -625,8 +612,8 @@ let tune_alt ?(seed = 0) ?(jobs = 1) ?pool ?(levels = 1)
       (* no layout space: degrade to loop-only tuning on trivial layouts *)
       let cm = new_cost_model ~warm_start ?transfer () in
       let st =
-        new_state ~seed ~jobs ?pool ~cm ?checkpoint ?resume ?on_round ?stop
-          ?on_progress ~tag ~budget:(joint_budget + loop_budget) task
+        new_state ~seed ?pool ~cm ?checkpoint ?resume ?stop ?on_progress ~tag
+          ~budget:(joint_budget + loop_budget) task
       in
       let choice = Templates.trivial_choice op in
       let lb = ref Float.infinity in
@@ -637,8 +624,8 @@ let tune_alt ?(seed = 0) ?(jobs = 1) ?pool ?(levels = 1)
   | Some tpl ->
       let cm = new_cost_model ~warm_start ?transfer () in
       let st =
-        new_state ~seed ~jobs ?pool ~cm ?checkpoint ?resume ?on_round ?stop
-          ?on_progress ~tag ~budget:(joint_budget + loop_budget) task
+        new_state ~seed ?pool ~cm ?checkpoint ?resume ?stop ?on_progress ~tag
+          ~budget:(joint_budget + loop_budget) task
       in
       let agent =
         match layout_explorer with
@@ -813,15 +800,15 @@ let vendor_schedules (op : Opdef.t) (choice : Propagate.choice) =
     base |> Schedule.vectorize |> (fun s -> Schedule.parallel s 1);
   ]
 
-let tune_vendor ?seed:_ ?(jobs = 1) ?pool ?checkpoint ?resume ?on_round ?stop
-    ?on_progress (task : Measure.task) : result =
+let tune_vendor ?pool ?checkpoint ?resume ?stop ?on_progress
+    (task : Measure.task) : result =
   Alt_obs.Trace.with_span "tuner.tune_vendor" @@ fun () ->
   let op = task.Measure.op in
   let block = 2 * task.Measure.machine.Machine.lanes in
   let choice = Templates.blocked_choice op ~block in
   let st =
-    new_state ~jobs ?pool ?checkpoint ?resume ?on_round ?stop ?on_progress
-      ~tag:"vendor" ~budget:max_int task
+    new_state ?pool ?checkpoint ?resume ?stop ?on_progress ~tag:"vendor"
+      ~budget:max_int task
   in
   let scheds = Array.of_list (vendor_schedules op choice) in
   let progs = Array.map (fun s -> Measure.program_of task choice s) scheds in
@@ -835,8 +822,8 @@ let tune_vendor ?seed:_ ?(jobs = 1) ?pool ?checkpoint ?resume ?on_round ?stop
 (* Loop-only tuning over a list of fixed layout choices (the paper tries
    NOHW and NHWO for baselines and reports the best); the budget is split
    across the layout candidates. *)
-let tune_loop_only ?(seed = 0) ?(jobs = 1) ?pool ?(warm_start = false)
-    ?checkpoint ?resume ?on_round ?stop ?on_progress ?transfer
+let tune_loop_only ?(seed = 0) ?pool ?(warm_start = false) ?checkpoint
+    ?resume ?stop ?on_progress ?transfer
     ~(explorer : loop_explorer) ~(budget : int)
     ~(layouts : Propagate.choice list) (task : Measure.task) : result =
   Alt_obs.Trace.with_span "tuner.tune_loop_only" @@ fun () ->
@@ -853,8 +840,8 @@ let tune_loop_only ?(seed = 0) ?(jobs = 1) ?pool ?(warm_start = false)
       (match transfer with Some _ -> ":tx" | None -> "")
   in
   let st =
-    new_state ~seed ~jobs ?pool ?cm ?checkpoint ?resume ?on_round ?stop
-      ?on_progress ~tag ~budget task
+    new_state ~seed ?pool ?cm ?checkpoint ?resume ?stop ?on_progress ~tag
+      ~budget task
   in
   let n = max 1 (List.length layouts) in
   let per = budget / n in
@@ -878,35 +865,33 @@ let conv_fixed_layouts (op : Opdef.t) =
       [ Templates.gmm_kn op; Templates.gmm_nk op ]
   | Opdef.Simple -> [ Templates.trivial_choice op ]
 
-let tune_op ?(seed = 0) ?(jobs = 1) ?pool ?warm_start ?checkpoint ?resume
-    ?on_round ?stop ?on_progress ?transfer ~(system : system)
-    ~(budget : int) (task : Measure.task) : result =
+let tune_op ?(seed = 0) ?pool ?warm_start ?checkpoint ?resume ?stop
+    ?on_progress ?transfer ~(system : system) ~(budget : int)
+    (task : Measure.task) : result =
   match system with
-  | Vendor ->
-      tune_vendor ~jobs ?pool ?checkpoint ?resume ?on_round ?stop
-        ?on_progress task
+  | Vendor -> tune_vendor ?pool ?checkpoint ?resume ?stop ?on_progress task
   | Autotvm_like ->
-      tune_loop_only ~seed ~jobs ?pool ?warm_start ?checkpoint ?resume
-        ?on_round ?stop ?on_progress ?transfer ~explorer:Restricted ~budget
+      tune_loop_only ~seed ?pool ?warm_start ?checkpoint ?resume ?stop
+        ?on_progress ?transfer ~explorer:Restricted ~budget
         ~layouts:(conv_fixed_layouts task.Measure.op)
         task
   | Flextensor_like ->
-      tune_loop_only ~seed ~jobs ?pool ?checkpoint ?resume ?on_round ?stop
-        ?on_progress ~explorer:Walk ~budget
+      tune_loop_only ~seed ?pool ?checkpoint ?resume ?stop ?on_progress
+        ~explorer:Walk ~budget
         ~layouts:(conv_fixed_layouts task.Measure.op)
         task
   | Ansor_like ->
-      tune_loop_only ~seed ~jobs ?pool ?warm_start ?checkpoint ?resume
-        ?on_round ?stop ?on_progress ?transfer ~explorer:Guided ~budget
+      tune_loop_only ~seed ?pool ?warm_start ?checkpoint ?resume ?stop
+        ?on_progress ?transfer ~explorer:Guided ~budget
         ~layouts:(conv_fixed_layouts task.Measure.op)
         task
   | Alt ->
-      tune_alt ~seed ~jobs ?pool ?warm_start ?checkpoint ?resume ?on_round
-        ?stop ?on_progress ?transfer ~joint_budget:(budget * 3 / 10)
+      tune_alt ~seed ?pool ?warm_start ?checkpoint ?resume ?stop ?on_progress
+        ?transfer ~joint_budget:(budget * 3 / 10)
         ~loop_budget:(budget * 7 / 10) task
   | Alt_ol ->
-      tune_loop_only ~seed ~jobs ?pool ?warm_start ?checkpoint ?resume
-        ?on_round ?stop ?on_progress ?transfer ~explorer:Guided ~budget
+      tune_loop_only ~seed ?pool ?warm_start ?checkpoint ?resume ?stop
+        ?on_progress ?transfer ~explorer:Guided ~budget
         ~layouts:[ Templates.channels_last_choice task.Measure.op ]
         task
 

@@ -2,14 +2,13 @@
     (cross-exploration joint stage + loop-only stage) and the baseline
     systems of the evaluation.
 
-    Every tuner takes [?jobs] (default 1): the number of domains the
-    measurement engine may use for concurrent cache simulations.  The
-    tuning trajectory — [best_latency], [best_choice], [best_schedule],
-    [history], [spent] — is byte-identical for every [jobs] value at a
-    fixed seed; only wall-clock time changes (see DESIGN.md §7).
-    [?pool] supplies an existing measurement pool instead (the serve
-    daemon shares one pool across all sessions); when given, [?jobs] is
-    ignored.  Trajectories are identical either way.
+    Every tuner takes [?pool] (default: a fresh serial pool): the domain
+    pool the measurement engine uses for concurrent cache simulations
+    (callers pass [Pool.create ~jobs ()]; the serve daemon shares one pool
+    across all sessions).  The tuning trajectory — [best_latency],
+    [best_choice], [best_schedule], [history], [spent] — is byte-identical
+    for every pool size at a fixed seed; only wall-clock time changes (see
+    DESIGN.md §7).
 
     Every tuner also takes the fault-tolerance/checkpoint triple (see
     DESIGN.md §8):
@@ -19,18 +18,17 @@
       quarantine table from the checkpoint at [path] (a missing file means
       a fresh start; a checkpoint from a differently-configured run is
       rejected with [Invalid_argument]).  Resuming replays the interrupted
-      trajectory byte-identically, then continues past the interruption;
-    - [?on_round:(round -> unit)] — hook fired after each round's
-      checkpoint is written; tests raise from it to simulate kills.
+      trajectory byte-identically, then continues past the interruption.
 
     The scheduler triple (DESIGN.md §14) rides the same round boundary:
     - [?stop:(unit -> bool)] — cooperative preemption probe, checked
       before every measurement round; when it returns [true] the tuner
       skips all remaining rounds and returns its best-so-far [result].
       The default never stops, leaving trajectories untouched;
-    - [?on_progress:(progress -> unit)] — fired after [on_round] (so the
-      round's checkpoint is already durable); {!Step} performs its
-      suspension effect from this hook;
+    - [?on_progress:(progress -> unit)] — fired after each round's
+      checkpoint is written (so it is already durable); {!Step} performs
+      its suspension effect from this hook, and tests raise from it to
+      simulate kills;
     - [?transfer] — cross-task cost-model transfer: the first GBDT fit
       warm-starts from [donor ()] (if any) via [Gbdt.refit], and every
       fitted model is handed to [publish].  Folded into the checkpoint
@@ -81,10 +79,10 @@ val actor_input_dim : int
 (** Input width of the layout PPO actor (state embedding + knob features). *)
 
 val tune_alt :
-  ?seed:int -> ?jobs:int -> ?pool:Alt_parallel.Pool.t -> ?levels:int ->
+  ?seed:int -> ?pool:Alt_parallel.Pool.t -> ?levels:int ->
   ?layout_explorer:[ `Random | `Ppo_fresh | `Ppo of Ppo.t ] ->
   ?seed_layouts:bool -> ?warm_start:bool -> ?checkpoint:string ->
-  ?resume:string -> ?on_round:(int -> unit) -> ?stop:(unit -> bool) ->
+  ?resume:string -> ?stop:(unit -> bool) ->
   ?on_progress:(progress -> unit) -> ?transfer:transfer ->
   joint_budget:int -> loop_budget:int -> Measure.task -> result
 (** The ALT tuner.  The joint stage seeds with heuristic layouts, then
@@ -100,9 +98,8 @@ val tune_alt :
     trajectories are bit-identical to the pre-warm-start tuner. *)
 
 val tune_loop_only :
-  ?seed:int -> ?jobs:int -> ?pool:Alt_parallel.Pool.t -> ?warm_start:bool ->
-  ?checkpoint:string ->
-  ?resume:string -> ?on_round:(int -> unit) -> ?stop:(unit -> bool) ->
+  ?seed:int -> ?pool:Alt_parallel.Pool.t -> ?warm_start:bool ->
+  ?checkpoint:string -> ?resume:string -> ?stop:(unit -> bool) ->
   ?on_progress:(progress -> unit) -> ?transfer:transfer ->
   explorer:loop_explorer ->
   budget:int -> layouts:Propagate.choice list -> Measure.task -> result
@@ -122,17 +119,16 @@ type system =
 val system_name : system -> string
 
 val tune_vendor :
-  ?seed:int -> ?jobs:int -> ?pool:Alt_parallel.Pool.t -> ?checkpoint:string ->
-  ?resume:string -> ?on_round:(int -> unit) -> ?stop:(unit -> bool) ->
-  ?on_progress:(progress -> unit) -> Measure.task -> result
+  ?pool:Alt_parallel.Pool.t -> ?checkpoint:string -> ?resume:string ->
+  ?stop:(unit -> bool) -> ?on_progress:(progress -> unit) -> Measure.task ->
+  result
 (** Vendor-library stand-in: a small set of expert schedules on a fixed
     blocked layout; no search. *)
 
 val tune_op :
-  ?seed:int -> ?jobs:int -> ?pool:Alt_parallel.Pool.t -> ?warm_start:bool ->
-  ?checkpoint:string -> ?resume:string -> ?on_round:(int -> unit) ->
-  ?stop:(unit -> bool) -> ?on_progress:(progress -> unit) ->
-  ?transfer:transfer ->
+  ?seed:int -> ?pool:Alt_parallel.Pool.t -> ?warm_start:bool ->
+  ?checkpoint:string -> ?resume:string -> ?stop:(unit -> bool) ->
+  ?on_progress:(progress -> unit) -> ?transfer:transfer ->
   system:system -> budget:int -> Measure.task -> result
 
 (** Resumable stepping over any tuning entry point — the suspension

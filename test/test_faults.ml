@@ -27,6 +27,7 @@ module Loopspace = Alt_tuner.Loopspace
 module Measure = Alt_tuner.Measure
 module Checkpoint = Alt_tuner.Checkpoint
 module Tuner = Alt_tuner.Tuner
+module Pool = Alt_parallel.Pool
 
 let tiny_c2d () =
   Ops.c2d ~name:"c2d" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:4 ~o:8 ~h:6 ~w:6
@@ -243,7 +244,8 @@ let prop_faulty_differential =
         let task =
           make_task ~faults:(Fault.create ~seed ~rate:0.3 ()) ~retries:2 op
         in
-        Tuner.tune_loop_only ~seed ~jobs ~explorer ~budget:14
+        Tuner.tune_loop_only ~seed ~pool:(Pool.create ~jobs ()) ~explorer
+          ~budget:14
           ~layouts:[ Templates.trivial_choice op ]
           task
       in
@@ -266,7 +268,8 @@ let prop_exec_faulty_differential =
             ~faults:(Fault.create ~seed ~rate:0.3 ())
             ~retries:2 ~backend:exec_backend op
         in
-        Tuner.tune_loop_only ~seed ~jobs ~explorer ~budget:14
+        Tuner.tune_loop_only ~seed ~pool:(Pool.create ~jobs ()) ~explorer
+          ~budget:14
           ~layouts:[ Templates.trivial_choice op ]
           task
       in
@@ -300,7 +303,8 @@ let prop_jobs_domains_composition =
             ~backend:(exec_domains_backend domains)
             op
         in
-        Tuner.tune_loop_only ~seed ~jobs ~explorer:Tuner.Guided ~budget:12
+        Tuner.tune_loop_only ~seed ~pool:(Pool.create ~jobs ())
+          ~explorer:Tuner.Guided ~budget:12
           ~layouts:[ Templates.trivial_choice op ]
           task
       in
@@ -422,17 +426,17 @@ type runner = {
   run :
     checkpoint:string option ->
     resume:string option ->
-    on_round:(int -> unit) option ->
+    on_progress:(Tuner.progress -> unit) option ->
     Tuner.result;
 }
 
 let loop_runner ~faults =
   {
     run =
-      (fun ~checkpoint ~resume ~on_round ->
+      (fun ~checkpoint ~resume ~on_progress ->
         let op = tiny_c2d () in
         let task = make_task ?faults ~retries:1 op in
-        Tuner.tune_loop_only ~seed:11 ?checkpoint ?resume ?on_round
+        Tuner.tune_loop_only ~seed:11 ?checkpoint ?resume ?on_progress
           ~explorer:Tuner.Guided ~budget:30
           ~layouts:
             [ Templates.trivial_choice op; Templates.channels_last_choice op ]
@@ -442,11 +446,11 @@ let loop_runner ~faults =
 let alt_runner ~faults =
   {
     run =
-      (fun ~checkpoint ~resume ~on_round ->
+      (fun ~checkpoint ~resume ~on_progress ->
         let op = tiny_c2d () in
         let task = make_task ?faults ~retries:1 op in
         Tuner.tune_alt ~seed:4 ~layout_explorer:`Ppo_fresh ?checkpoint ?resume
-          ?on_round ~joint_budget:12 ~loop_budget:12 task);
+          ?on_progress ~joint_budget:12 ~loop_budget:12 task);
   }
 
 (* Kill a checkpointed run after round [kill_round] (the hook raising
@@ -454,18 +458,22 @@ let alt_runner ~faults =
    the exact result of the uninterrupted run. *)
 let kill_and_resume ~kill_round { run } =
   with_tmp (fun path ->
-      let uninterrupted = run ~checkpoint:None ~resume:None ~on_round:None in
+      let uninterrupted =
+        run ~checkpoint:None ~resume:None ~on_progress:None
+      in
       (try
          ignore
            (run ~checkpoint:(Some path) ~resume:None
-              ~on_round:(Some (fun r -> if r = kill_round then raise Killed))
+              ~on_progress:
+                (Some
+                   (fun p -> if p.Tuner.rounds = kill_round then raise Killed))
              : Tuner.result)
        with Killed -> ());
       Alcotest.(check bool)
         "a checkpoint was written" true
         (Checkpoint.load_opt ~path <> None);
       let resumed =
-        run ~checkpoint:(Some path) ~resume:(Some path) ~on_round:None
+        run ~checkpoint:(Some path) ~resume:(Some path) ~on_progress:None
       in
       Alcotest.(check bool)
         "resumed = uninterrupted" true
@@ -492,7 +500,7 @@ let test_fingerprint_mismatch_rejected () =
   with_tmp (fun path ->
       ignore
         ((loop_runner ~faults:None).run ~checkpoint:(Some path) ~resume:None
-           ~on_round:None
+           ~on_progress:None
           : Tuner.result);
       let op = tiny_c2d () in
       let task = make_task ~retries:1 op in

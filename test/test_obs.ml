@@ -71,7 +71,7 @@ let is_err = function Error _ -> true | Ok _ -> false
 (* JSON codec                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_json_roundtrip () =
+let test_json_codec_roundtrip () =
   let v =
     Json.Obj
       [
@@ -693,7 +693,8 @@ let traced_tune ~path ~jobs =
   in
   Trace.configure ~path;
   Fun.protect ~finally:obs_off (fun () ->
-      Tuner.tune_alt ~seed:9 ~jobs ~joint_budget:8 ~loop_budget:10 task)
+      Tuner.tune_alt ~seed:9 ~pool:(Pool.create ~jobs ()) ~joint_budget:8
+        ~loop_budget:10 task)
 
 let required_round_attrs =
   [
@@ -770,10 +771,11 @@ let run_leg which ~obs ~seed ~machine ~jobs =
     make_task ~machine ~faults:(Fault.create ~seed ~rate:0.3 ()) ~retries:2 op
   in
   let run () =
+    let pool = Pool.create ~jobs () in
     match which with
-    | `Alt -> Tuner.tune_alt ~seed ~jobs ~joint_budget:8 ~loop_budget:8 task
+    | `Alt -> Tuner.tune_alt ~seed ~pool ~joint_budget:8 ~loop_budget:8 task
     | `Loop ->
-        Tuner.tune_loop_only ~seed ~jobs ~explorer:Tuner.Guided ~budget:14
+        Tuner.tune_loop_only ~seed ~pool ~explorer:Tuner.Guided ~budget:14
           ~layouts:[ Templates.trivial_choice op ]
           task
   in
@@ -815,7 +817,7 @@ let () =
     [
       ( "json",
         [
-          Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "round-trip" `Quick test_json_codec_roundtrip;
           Alcotest.test_case "float rendering" `Quick test_json_floats;
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "malformed input" `Quick test_json_errors;

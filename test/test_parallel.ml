@@ -314,8 +314,8 @@ let prop_tune_alt_differential =
       let layout_explorer = if use_ppo then `Ppo_fresh else `Random in
       let run jobs =
         let task = make_task ~seed:7 op in
-        Tuner.tune_alt ~seed ~jobs ~layout_explorer ~joint_budget:8
-          ~loop_budget:6 task
+        Tuner.tune_alt ~seed ~pool:(Pool.create ~jobs ()) ~layout_explorer
+          ~joint_budget:8 ~loop_budget:6 task
       in
       result_equal (run 1) (run 4))
 
@@ -333,7 +333,8 @@ let prop_tune_loop_only_differential =
       in
       let run jobs =
         let task = make_task ~seed:3 op in
-        Tuner.tune_loop_only ~seed ~jobs ~explorer ~budget:10 ~layouts task
+        Tuner.tune_loop_only ~seed ~pool:(Pool.create ~jobs ()) ~explorer
+          ~budget:10 ~layouts task
       in
       result_equal (run 1) (run 4))
 

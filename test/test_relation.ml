@@ -7,10 +7,11 @@
    - forward o backward = id on the live range (holes are zero-filled),
    - compose = sequential application at every chain split point,
    - canonicalization is idempotent,
+   - the symbolic [Layout.inverse_exprs] undoes [Layout.forward_exprs]
+     pointwise on split/reorder/fuse chains,
    - the relation-backed [Layout.pack]/[unpack]/[eval_fwd]/[phys_index]
      are byte-identical to the kept-verbatim seed implementations in
-     [Layout.Reference] (the differential oracle, runtime-selectable
-     with ALT_LAYOUT_REFERENCE=1),
+     [Layout.Reference] (the differential oracle),
    - strides/extents/conversion-cost read off the relation agree with
      the physical shape,
 
@@ -211,6 +212,37 @@ let prop_inverse_roundtrip =
         done;
         !ok
       end)
+
+(* The symbolic pair lowering uses: [forward_exprs] then [inverse_exprs]
+   over fresh logical variables (with their ranges as simplifier bounds,
+   as in lowering) must evaluate back to every logical point. *)
+let prop_symbolic_inverse_roundtrip =
+  QCheck2.Test.make ~count:counts
+    ~name:"inverse_exprs o forward_exprs = id (symbolic)" ~print:print_layout
+    (gen_chain ~basic_only:true ())
+    (fun l ->
+      let dom = Layout.logical_shape l in
+      let vars = Array.mapi (fun i _ -> Var.fresh (Fmt.str "l%d" i)) dom in
+      let bounds w =
+        let r = ref None in
+        Array.iteri
+          (fun i x -> if Var.equal x w then r := Some (0, dom.(i) - 1))
+          vars;
+        !r
+      in
+      let fwd = Layout.forward_exprs ~bounds l (Array.map Ixexpr.var vars) in
+      let back = Layout.inverse_exprs ~bounds l fwd in
+      let ok = ref true in
+      for off = 0 to Shape.num_elements dom - 1 do
+        let x = Shape.index_of_offset dom off in
+        let env w =
+          let r = ref 0 in
+          Array.iteri (fun i v -> if Var.equal v w then r := x.(i)) vars;
+          !r
+        in
+        if Array.map (Ixexpr.eval env) back <> x then ok := false
+      done;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Differential oracle: relation path = seed path, byte-identical     *)
@@ -444,31 +476,7 @@ let test_compose_metrics () =
   check_int "compose ticked" 1 (count "layout.relation.compose");
   Alcotest.(check bool) "simplify ticked" true
     (count "layout.relation.simplify" >= 1);
-  Alt_obs.Metrics.reset ();
-  Unix.putenv "ALT_LAYOUT_REFERENCE" "1";
-  let l = Layout.of_prims [| 4 |] [ Layout.Split { dim = 0; factors = [ 2; 2 ] } ] in
-  let (_ : float array) = Layout.pack l [| 1.; 2.; 3.; 4. |] in
-  Unix.putenv "ALT_LAYOUT_REFERENCE" "0";
-  Alcotest.(check bool) "fallback ticked" true
-    (count "layout.relation.fallback" >= 1);
   Alt_obs.Metrics.disable ()
-
-let test_reference_escape_hatch () =
-  (* ALT_LAYOUT_REFERENCE=1 routes pack through the seed path; outputs
-     must be identical either way *)
-  let l =
-    Layout.of_prims [| 4; 6 |]
-      [
-        Layout.Split { dim = 1; factors = [ 2; 3 ] };
-        Layout.Pad { dim = 0; lo = 1; hi = 0 };
-      ]
-  in
-  let src = Array.init 24 (fun i -> float_of_int (i + 1)) in
-  let fast = Layout.pack l src in
-  Unix.putenv "ALT_LAYOUT_REFERENCE" "1";
-  let slow = Layout.pack l src in
-  Unix.putenv "ALT_LAYOUT_REFERENCE" "0";
-  Alcotest.(check bool) "byte-identical" true (fast = slow)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -499,10 +507,8 @@ let () =
         [
           Alcotest.test_case "validation count linear" `Quick
             test_incremental_validation_count;
-          Alcotest.test_case "compose/simplify/fallback metrics" `Quick
+          Alcotest.test_case "compose/simplify metrics" `Quick
             test_compose_metrics;
-          Alcotest.test_case "reference escape hatch" `Quick
-            test_reference_escape_hatch;
         ] );
       qsuite "roundtrip-props"
         [
@@ -511,6 +517,7 @@ let () =
           prop_compose_sequential;
           prop_canonicalize_idempotent;
           prop_inverse_roundtrip;
+          prop_symbolic_inverse_roundtrip;
         ];
       qsuite "differential-props"
         [

@@ -281,15 +281,22 @@ let test_step_early_finish () =
 
 exception Injected
 
-let stepped_alt ?on_round ?(finally = ignore) () =
+(* [hook] runs inside the tuner's [on_progress], just before the fiber
+   yields: raising from it fails the tuner after that round *)
+let stepped_alt ?(hook = ignore) ?(finally = ignore) () =
   Tuner.Step.start (fun ~stop ~on_progress ->
       Fun.protect ~finally (fun () ->
-          Tuner.tune_alt ~seed:0 ?on_round ~stop ~on_progress ~joint_budget:12
-            ~loop_budget:20 (step_task ())))
+          Tuner.tune_alt ~seed:0 ~stop
+            ~on_progress:(fun p ->
+              hook p;
+              on_progress p)
+            ~joint_budget:12 ~loop_budget:20 (step_task ())))
 
 let test_step_raise_then_finish () =
   let fiber =
-    stepped_alt ~on_round:(fun r -> if r = 2 then failwith "boom") ()
+    stepped_alt
+      ~hook:(fun p -> if p.Tuner.rounds = 2 then failwith "boom")
+      ()
   in
   (match Tuner.Step.step fiber with
   | Tuner.Step.Running _ -> ()

@@ -537,14 +537,13 @@ let parse_frames bytes =
   in
   go []
 
-let run_pipe_on_file ~requests =
+(* Runs a pipe daemon over raw request payloads, one frame each. *)
+let run_pipe_on_payloads payloads =
   with_tmpdir @@ fun dir ->
   let in_path = Filename.concat dir "in.bin" in
   let out_path = Filename.concat dir "out.bin" in
   let oc = open_out_bin in_path in
-  List.iter
-    (fun r -> output_string oc (Proto.frame_json (Proto.request_to_json r)))
-    requests;
+  List.iter (fun p -> output_string oc (Proto.frame p)) payloads;
   close_out oc;
   let input = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
   let output =
@@ -558,6 +557,19 @@ let run_pipe_on_file ~requests =
     (fun () -> Daemon.run_pipe ~input ~output engine);
   parse_frames (read_file out_path)
 
+let run_pipe_on_file ~requests =
+  run_pipe_on_payloads
+    (List.map (fun r -> Json.to_string (Proto.request_to_json r)) requests)
+
+let frame_by_id frames id =
+  match
+    List.find_opt
+      (fun j -> Option.bind (Json.member "id" j) Json.to_string_opt = Some id)
+      frames
+  with
+  | Some j -> j
+  | None -> Alcotest.failf "no frame for id %S" id
+
 let test_pipe_daemon_end_to_end () =
   let s = spec () in
   let frames =
@@ -570,22 +582,58 @@ let test_pipe_daemon_end_to_end () =
             { id = "c"; op = gmm_op; machine = "intel-cpu"; preset = "alt" };
         ]
   in
-  let by_id id =
-    match
-      List.find_opt
-        (fun j ->
-          Option.bind (Json.member "id" j) Json.to_string_opt = Some id)
-        frames
-    with
-    | Some j -> j
-    | None -> Alcotest.failf "no frame for id %S" id
-  in
+  let by_id = frame_by_id frames in
   Alcotest.(check string) "stats ok" "ok" (status_of (by_id "s"));
   Alcotest.(check string) "compile ok" "ok" (status_of (by_id "c"));
   Alcotest.(check bool) "compile has program" true
     (Json.member "program" (by_id "c") <> None);
   Alcotest.(check string) "tune = solo over the pipe" (solo_json s)
     (ok_result (by_id "t"))
+
+(* Oversized or out-of-range specs are structured rejects at decode
+   time, and the daemon still answers the valid request that follows. *)
+let oversized_specs =
+  [
+    ("budget", Fmt.str {|{"budget":%d}|} (Workload.max_budget + 1));
+    ("max_points", {|{"max_points":0}|});
+    ("watchdog", {|{"watchdog_points":0}|});
+    ( "gmm elements",
+      {|{"op":{"kind":"gmm","spatial":4096,"channels":4096,|}
+      ^ {|"out_channels":4096}}|} );
+    ( "c2d elements",
+      {|{"op":{"kind":"c2d","batch":64,"channels":256,|}
+      ^ {|"out_channels":256,"spatial":224}}|} );
+    ( "huge extents",
+      Fmt.str {|{"op":{"kind":"gmm","spatial":%d,"channels":%d}}|}
+        (max_int / 2) (max_int / 2) );
+  ]
+
+let test_oversized_specs_rejected () =
+  let payloads =
+    List.map
+      (fun (what, spec_json) ->
+        Fmt.str {|{"kind":"tune","id":%S,"spec":%s}|} what spec_json)
+      oversized_specs
+  in
+  List.iter
+    (fun payload ->
+      match Proto.parse_request payload with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %s" payload)
+    payloads;
+  let s = spec () in
+  let valid = Json.to_string (Proto.request_to_json (tune ~id:"ok" s)) in
+  let frames = run_pipe_on_payloads (payloads @ [ valid ]) in
+  Alcotest.(check int) "one reply per request"
+    (List.length payloads + 1)
+    (List.length frames);
+  List.iteri
+    (fun i j ->
+      if i < List.length payloads then
+        Alcotest.(check string) "structured reject" "error" (status_of j))
+    frames;
+  Alcotest.(check string) "valid request still served" (solo_json s)
+    (ok_result (frame_by_id frames "ok"))
 
 let test_pipe_daemon_rejects_bad_stream () =
   with_tmpdir @@ fun dir ->
@@ -666,5 +714,7 @@ let () =
             test_pipe_daemon_end_to_end;
           Alcotest.test_case "pipe daemon rejects a bad stream" `Quick
             test_pipe_daemon_rejects_bad_stream;
+          Alcotest.test_case "oversized specs rejected" `Quick
+            test_oversized_specs_rejected;
         ] );
     ]

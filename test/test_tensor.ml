@@ -451,7 +451,7 @@ let gen_full_layout =
   let* n = int_range 0 5 in
   add_prims (Layout.create shape) n
 
-let prop_relation_roundtrip =
+let prop_relation_unpack_pack =
   QCheck2.Test.make ~count:120
     ~name:"relation roundtrip: unpack o pack = id (all five prims)"
     ~print:(fun l -> Fmt.str "%a" Layout.pp l)
@@ -583,5 +583,5 @@ let () =
           Alcotest.test_case "invertibility flags" `Quick test_invertible_flags;
         ] );
       qsuite "layout-props"
-        [ prop_relation_roundtrip; prop_forward_matches_concrete ];
+        [ prop_relation_unpack_pack; prop_forward_matches_concrete ];
     ]
